@@ -142,107 +142,36 @@ class AccessMethod(ABC):
     def delete(self, key: int) -> None:
         """Remove a record.  Raises :class:`KeyError` if ``key`` is absent."""
 
-    # ------------------------------------------------------------------
-    # Batched surface
-    # ------------------------------------------------------------------
-    # The batch-first measurement pipeline feeds operations through these
-    # entry points.  The public methods guarantee observable equivalence
-    # with the per-op surface: same results, same device access sequence
-    # (hence byte-identical counters and trace events), same exceptions.
-    # Subclasses override the protected ``_get_many`` / ``_put_many``
-    # hooks with genuinely batched implementations; the public wrappers
-    # route to the per-op loop while span collection is active, because
-    # batched hooks amortize exactly the per-call bookkeeping (span
-    # enter/exit among it) that span profiles are made of.
-
-    def get_many(self, keys: Iterable[int]) -> List[Optional[int]]:
-        """Look up many keys; element ``i`` answers ``get(keys[i])``."""
-        from repro.obs.spans import spans_active  # lazy: avoid a cycle
-
-        if spans_active():
-            get = self.get
-            return [get(key) for key in keys]
-        return self._get_many(keys)
-
-    def _get_many(self, keys: Iterable[int]) -> List[Optional[int]]:
-        """Batched lookup hook; the default is the per-op loop."""
-        get = self.get
-        return [get(key) for key in keys]
-
-    def put_many(self, items: Iterable[Record]) -> None:
-        """Insert many fresh records; equivalent to ``insert`` per item."""
-        from repro.obs.spans import spans_active  # lazy: avoid a cycle
-
-        if spans_active():
-            insert = self.insert
-            for key, value in items:
-                insert(key, value)
-            return
-        self._put_many(items)
-
-    def _put_many(self, items: Iterable[Record]) -> None:
-        """Batched insert hook; the default is the per-op loop."""
-        insert = self.insert
-        for key, value in items:
-            insert(key, value)
-
     def apply_batch(self, operations: List["Operation"]) -> List[int]:
         """Execute a list of workload operations in order.
 
-        Returns one outcome per operation: for point queries ``1`` on a
-        hit and ``0`` on a miss, for range queries the number of records
-        returned, and ``1`` for every write — the units the RUM
-        accumulator's denominators are built from.  Consecutive point
-        queries are routed through :meth:`get_many` and consecutive
-        inserts through :meth:`put_many`, so a method's batched hooks
-        see the longest runs the stream offers.
+        The one ``OpKind`` dispatch of the measurement loop.  Returns one
+        outcome per operation: for point queries ``1`` on a hit and ``0``
+        on a miss, for range queries the number of records returned, and
+        ``1`` for every write — the units the RUM accumulator's
+        denominators are built from.
 
-        Unlike the tolerant per-op measurement loop, a batch must be
-        valid: an update or delete of an absent key raises ``KeyError``
-        (workload generators only emit valid streams).
+        An update or delete of an absent key raises ``KeyError``; the
+        operations before it have been applied.
         """
-        from repro.workloads.spec import OpKind  # lazy: avoid a cycle
-
-        n = len(operations)
-        outcomes = [1] * n
-        i = 0
-        while i < n:
-            operation = operations[i]
+        outcomes = []
+        for operation in operations:
             kind = operation.kind
-            if kind is OpKind.POINT_QUERY:
-                j = i + 1
-                while j < n and operations[j].kind is OpKind.POINT_QUERY:
-                    j += 1
-                results = self.get_many(
-                    [operations[k].key for k in range(i, j)]
-                )
-                for k, result in enumerate(results, i):
-                    outcomes[k] = 1 if result is not None else 0
-                i = j
-            elif kind is OpKind.INSERT:
-                j = i + 1
-                while j < n and operations[j].kind is OpKind.INSERT:
-                    j += 1
-                self.put_many(
-                    [
-                        (operations[k].key, operations[k].value)
-                        for k in range(i, j)
-                    ]
-                )
-                i = j
-            elif kind is OpKind.RANGE_QUERY:
-                outcomes[i] = len(
-                    self.range_query(operation.key, operation.high_key)
-                )
-                i += 1
-            elif kind is OpKind.UPDATE:
+            outcome = 1
+            if kind is _POINT_QUERY:
+                if self.get(operation.key) is None:
+                    outcome = 0
+            elif kind is _RANGE_QUERY:
+                outcome = len(self.range_query(operation.key, operation.high_key))
+            elif kind is _INSERT:
+                self.insert(operation.key, operation.value)
+            elif kind is _UPDATE:
                 self.update(operation.key, operation.value)
-                i += 1
-            elif kind is OpKind.DELETE:
+            elif kind is _DELETE:
                 self.delete(operation.key)
-                i += 1
             else:  # pragma: no cover - the enum is closed
                 raise ValueError(f"unknown operation kind {kind}")
+            outcomes.append(outcome)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -412,3 +341,15 @@ class AccessMethod(ABC):
             if records[i][0] == records[i - 1][0]:
                 raise ValueError(f"duplicate key in bulk load: {records[i][0]}")
         return records
+
+
+# At the bottom because repro.workloads imports AccessMethod back.  Bound
+# to module names once: an ``OpKind.X`` lookup costs more than the
+# identity test it feeds, and apply_batch runs per measured window.
+from repro.workloads.spec import OpKind  # noqa: E402
+
+_POINT_QUERY = OpKind.POINT_QUERY
+_RANGE_QUERY = OpKind.RANGE_QUERY
+_INSERT = OpKind.INSERT
+_UPDATE = OpKind.UPDATE
+_DELETE = OpKind.DELETE

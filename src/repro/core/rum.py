@@ -16,18 +16,23 @@ ratios by snapshotting device counters around operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro.obs.spans import span, spans_active
 from repro.storage.device import IOStats
 from repro.storage.layout import RECORD_BYTES
+from repro.workloads.spec import OpKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.interfaces import AccessMethod
     from repro.obs.live import WindowedRUM
     from repro.obs.metrics import WorkloadMetrics
     from repro.workloads.spec import Operation
+
+# Bound once: an ``OpKind.X`` lookup costs more than the identity test.
+_POINT_QUERY = OpKind.POINT_QUERY
+_RANGE_QUERY = OpKind.RANGE_QUERY
 
 
 @dataclass(frozen=True)
@@ -102,41 +107,31 @@ class RUMAccumulator:
                 self.peak_memory_overhead, stats.space_amplification
             )
 
-    def record_read(self, io: IOStats, records_retrieved: int) -> None:
-        """Account one read operation (point or range query)."""
-        self.read_ops += 1
+    def record_read(
+        self, io: IOStats, records_retrieved: int, operations: int = 1
+    ) -> None:
+        """Account one counter window of read operations (point or range
+        queries; one operation unless ``operations`` says otherwise).
+
+        For a longer window ``records_retrieved`` is the sum over its
+        operations of ``max(records retrieved, 1)``: per-op deltas
+        telescope into the window delta (the counters are integers), so
+        a window accumulates exactly what its operations would one by
+        one.
+        """
+        self.read_ops += operations
         self.read_bytes += io.read_bytes
         self.retrieved_bytes += max(records_retrieved, 1) * RECORD_BYTES
         self.simulated_time += io.simulated_time
 
-    def record_update(self, io: IOStats, records_updated: int = 1) -> None:
-        """Account one write operation (insert, update or delete)."""
-        self.update_ops += 1
-        self.write_bytes += io.write_bytes
-        self.updated_bytes += max(records_updated, 1) * RECORD_BYTES
-        self.simulated_time += io.simulated_time
-
-    def record_read_batch(
-        self, io: IOStats, operations: int, retrieved_units: int
+    def record_update(
+        self, io: IOStats, records_updated: int = 1, operations: int = 1
     ) -> None:
-        """Account a run of read operations from one counter window.
-
-        ``retrieved_units`` is the sum over the run of
-        ``max(records_retrieved, 1)`` — per-op reads add the same byte
-        and denominator totals one operation at a time, so a batch
-        window that covers only reads accumulates identically (the
-        per-op deltas telescope into the window delta).
-        """
-        self.read_ops += operations
-        self.read_bytes += io.read_bytes
-        self.retrieved_bytes += retrieved_units * RECORD_BYTES
-        self.simulated_time += io.simulated_time
-
-    def record_update_batch(self, io: IOStats, operations: int) -> None:
-        """Account a run of write operations from one counter window."""
+        """Account one counter window of write operations (inserts,
+        updates, deletes), ``records_updated`` logical records in all."""
         self.update_ops += operations
         self.write_bytes += io.write_bytes
-        self.updated_bytes += operations * RECORD_BYTES
+        self.updated_bytes += max(records_updated, 1) * RECORD_BYTES
         self.simulated_time += io.simulated_time
 
     @property
@@ -176,52 +171,37 @@ class RUMAccumulator:
         )
 
 
-def measure_workload(
+#: Space-sampling cadence: MO is sampled before every 16th operation,
+#: and no counter window spans a sampling point.
+_SPACE_SAMPLE_EVERY = 16
+
+
+def _measure(
     method: "AccessMethod",
-    operations: Iterable["Operation"],
-    metrics: Optional["WorkloadMetrics"] = None,
-    audit_every: int = 0,
-    accumulator: Optional[RUMAccumulator] = None,
-    live: Optional["WindowedRUM"] = None,
+    batches: Iterable[List["Operation"]],
+    per_op: bool,
+    metrics: Optional["WorkloadMetrics"],
+    audit_every: int,
+    accumulator: Optional[RUMAccumulator],
+    live: Optional["WindowedRUM"],
 ) -> RUMProfile:
-    """Run ``operations`` against ``method`` and measure its RUM profile.
+    """The measurement loop behind both entry points.
 
-    Each operation is bracketed by device-counter snapshots; reads feed the
-    RO ratio, writes feed the UO ratio, and MO is taken from the final
-    space footprint.  Unknown keys on update/delete are skipped (the
-    generators only emit valid operations, but adaptive workloads can
-    race with deletions).
+    Operations execute in counter *windows*: one device snapshot pair
+    and one :meth:`AccessMethod.apply_batch` call per run of
+    same-category (read vs write) operations within a batch, cut at the
+    space-sampling points.  Per-op byte deltas telescope into the window
+    delta exactly, so the profile does not depend on window length.
 
-    When a :class:`~repro.obs.metrics.WorkloadMetrics` is supplied, each
-    operation's blocks-touched count and simulated time are also recorded
-    into a per-op-type histogram (the terminal flush under the label
-    ``flush``) — the distribution behind the aggregate ratios.
-
-    ``audit_every=N`` (opt-in, default off) calls :meth:`AccessMethod.audit`
-    every N operations and once after the terminal flush, raising
-    :class:`~repro.check.audit.AuditError` on the first violation — so a
-    measurement run can double as an invariant sweep.  Audits use
-    counter-free device inspection and do not perturb the profile.
-
-    A caller-owned (fresh) ``accumulator`` can be supplied to read the
-    integer numerators/denominators behind the final ratios afterwards —
-    ``repro explain`` audits span attribution against them.
-
-    A :class:`~repro.obs.live.WindowedRUM` passed as ``live`` receives
-    every operation's integer deltas (at the operation's simulated
-    completion time), the terminal flush and the space samples — the
-    streaming per-window view whose sums conserve the accumulator's
-    totals exactly.  Disabled (``live=None``, the default), the tap
-    costs one ``is not None`` check per operation.
-
-    When span collection is active (:func:`repro.obs.spans.span_collection`),
-    every operation runs inside an ``op.<kind>`` root span and the
-    terminal flush inside ``op.flush``, so trace events carry the
-    operation category that the RO/UO attribution policy keys on.  The
-    check happens once per call; with spans inactive the loop body is
-    unchanged.
+    ``per_op`` caps windows at one operation; so does any observer
+    (``metrics``, ``audit_every``, ``live``, active span collection),
+    because what an observer sees of an operation cannot be recovered
+    from a longer window.  Capped windows are tolerant — an update or
+    delete of an absent key is skipped and charges nothing (generators
+    only emit valid operations, but adaptive workloads can race with
+    deletions).  An uncapped window propagates the ``KeyError``: its I/O
+    delta cannot be re-attributed once an operation inside it failed.
     """
-    from repro.workloads.spec import OpKind  # local import to avoid a cycle
 
     def run_audit() -> None:
         violations = method.audit()
@@ -233,63 +213,69 @@ def measure_workload(
     if accumulator is None:
         accumulator = RUMAccumulator()
     device = method.device
+    apply_batch = method.apply_batch
     use_spans = spans_active()
-    operation_index = 0
-    for operation in operations:
-        operation_index += 1
-        if operation_index % 16 == 0:
-            accumulator.sample_space(method)
-            if live is not None:
-                live.observe_space(method)
-        kind = operation.kind
-        before = device.snapshot()
-        op_span = span("op." + kind.value) if use_spans else None
-        if op_span is not None:
-            op_span.__enter__()
-        try:
-            if kind is OpKind.POINT_QUERY:
-                result = method.get(operation.key)
-                retrieved = 1 if result is not None else 0
-            elif kind is OpKind.RANGE_QUERY:
-                retrieved = len(
-                    method.range_query(operation.key, operation.high_key)
-                )
-            elif kind is OpKind.INSERT:
-                method.insert(operation.key, operation.value)
-            elif kind is OpKind.UPDATE:
-                try:
-                    method.update(operation.key, operation.value)
-                except KeyError:
+    if metrics is not None or audit_every or live is not None or use_spans:
+        per_op = True
+    every = _SPACE_SAMPLE_EVERY
+    executed = 0
+    for batch in batches:
+        n = len(batch)
+        start = 0
+        while start < n:
+            phase = (executed + 1) % every
+            if phase == 0:
+                accumulator.sample_space(method)
+                if live is not None:
+                    live.observe_space(method)
+            kind = batch[start].kind
+            is_read = kind is _POINT_QUERY or kind is _RANGE_QUERY
+            end = start + 1
+            if not per_op:
+                limit = start + (every - phase if phase else every)
+                if limit > n:
+                    limit = n
+                while end < limit:
+                    other = batch[end].kind
+                    if (other is _POINT_QUERY or other is _RANGE_QUERY) != is_read:
+                        break
+                    end += 1
+            segment = batch[start:end]
+            count = end - start
+            start = end
+            executed += count
+            before = device.snapshot()
+            try:
+                if use_spans:
+                    with span("op." + kind.value):
+                        outcomes = apply_batch(segment)
+                else:
+                    outcomes = apply_batch(segment)
+            except KeyError:
+                if per_op and kind in (OpKind.UPDATE, OpKind.DELETE):
                     continue
-            elif kind is OpKind.DELETE:
-                try:
-                    method.delete(operation.key)
-                except KeyError:
-                    continue
-            else:  # pragma: no cover - the enum is closed
-                raise ValueError(f"unknown operation kind {operation.kind}")
-        finally:
-            if op_span is not None:
-                op_span.__exit__(None, None, None)
-        io = device.stats_since(before)
-        if kind.is_read:
-            accumulator.record_read(io, retrieved)
-            if live is not None:
-                live.observe_op(
-                    kind.value, True, io, max(retrieved, 1),
-                    before.simulated_time + io.simulated_time,
-                )
-        else:
-            accumulator.record_update(io)
-            if live is not None:
-                live.observe_op(
-                    kind.value, False, io, 1,
-                    before.simulated_time + io.simulated_time,
-                )
-        if metrics is not None:
-            metrics.record(kind.value, io.reads + io.writes, io.simulated_time)
-        if audit_every and operation_index % audit_every == 0:
-            run_audit()
+                raise
+            io = device.stats_since(before)
+            if is_read:
+                units = 0
+                for outcome in outcomes:
+                    units += outcome if outcome > 1 else 1
+                accumulator.record_read(io, units, count)
+            else:
+                units = count
+                accumulator.record_update(io, count, count)
+            if per_op:
+                if live is not None:
+                    live.observe_op(
+                        kind.value, is_read, io, units,
+                        before.simulated_time + io.simulated_time,
+                    )
+                if metrics is not None:
+                    metrics.record(
+                        kind.value, io.reads + io.writes, io.simulated_time
+                    )
+                if audit_every and executed % audit_every == 0:
+                    run_audit()
     # Differential structures buffer writes; flush so the deferred I/O is
     # charged (amortized) to the updates that caused it.  Without this,
     # a workload shorter than the buffer would report UO = 0.  Flush
@@ -320,10 +306,54 @@ def measure_workload(
     return accumulator.finish(method)
 
 
-#: Space-sampling cadence of the measurement loops: the per-op loop
-#: samples MO before every 16th operation, and the batched loop breaks
-#: its windows at the same points so peak-MO sampling is identical.
-_SPACE_SAMPLE_EVERY = 16
+def measure_workload(
+    method: "AccessMethod",
+    operations: Iterable["Operation"],
+    metrics: Optional["WorkloadMetrics"] = None,
+    audit_every: int = 0,
+    accumulator: Optional[RUMAccumulator] = None,
+    live: Optional["WindowedRUM"] = None,
+) -> RUMProfile:
+    """Run ``operations`` against ``method`` and measure its RUM profile.
+
+    Each operation is bracketed by device-counter snapshots (a flat
+    stream always runs :func:`_measure`'s windows capped at one
+    operation); reads feed the RO ratio, writes feed the UO ratio, and
+    MO is the larger of the final space footprint and the peak sampled
+    on the way.  Updates and deletes of unknown keys are skipped.
+
+    When a :class:`~repro.obs.metrics.WorkloadMetrics` is supplied, each
+    operation's blocks-touched count and simulated time are also recorded
+    into a per-op-type histogram (the terminal flush under the label
+    ``flush``) — the distribution behind the aggregate ratios.
+
+    ``audit_every=N`` (opt-in, default off) calls :meth:`AccessMethod.audit`
+    every N operations and once after the terminal flush, raising
+    :class:`~repro.check.audit.AuditError` on the first violation — so a
+    measurement run can double as an invariant sweep.  Audits use
+    counter-free device inspection and do not perturb the profile.
+
+    A caller-owned (fresh) ``accumulator`` can be supplied to read the
+    integer numerators/denominators behind the final ratios afterwards —
+    ``repro explain`` audits span attribution against them.
+
+    A :class:`~repro.obs.live.WindowedRUM` passed as ``live`` receives
+    every operation's integer deltas (at the operation's simulated
+    completion time), the terminal flush and the space samples — the
+    streaming per-window view whose sums conserve the accumulator's
+    totals exactly.
+
+    When span collection is active (:func:`repro.obs.spans.span_collection`),
+    every operation runs inside an ``op.<kind>`` root span and the
+    terminal flush inside ``op.flush``, so trace events carry the
+    operation category that the RO/UO attribution policy keys on.  The
+    check happens once per call.
+    """
+    return _measure(
+        method,
+        ([operation] for operation in operations),
+        True, metrics, audit_every, accumulator, live,
+    )
 
 
 def measure_workload_batched(
@@ -334,91 +364,19 @@ def measure_workload_batched(
     accumulator: Optional[RUMAccumulator] = None,
     live: Optional["WindowedRUM"] = None,
 ) -> RUMProfile:
-    """Batch-first :func:`measure_workload`: same profile, less dispatch.
-
-    Consumes lists of operations (a
+    """:func:`measure_workload` over lists of operations (a
     :meth:`~repro.workloads.generator.WorkloadGenerator.operation_batches`
-    stream) and brackets device-counter *windows* rather than individual
-    operations: one snapshot pair per run of same-category (read vs
-    write) operations, with windows additionally split at the per-op
-    loop's space-sampling points.  Per-op byte deltas telescope into the
-    window delta exactly (the counters are integers), so the resulting
-    profile is byte-identical to the per-op loop's — the property suite
-    asserts this across methods and batch sizes.
+    stream): same profile, fewer counter snapshots.
 
-    Per-op instrumentation cannot be amortized without changing what it
-    observes, so when ``metrics`` is supplied, ``audit_every`` is set,
-    a ``live`` window consumer is attached, or span collection is
-    active, this function flattens the batches and delegates to
-    :func:`measure_workload` — identity with the per-op path (and the
-    live windows' conservation contract, whatever the batch size) then
-    holds by construction.  (Device *tracing* needs no
-    fallback: trace events are emitted by the device itself, in access
-    order, identically on both paths.)
-
-    One semantic difference from the tolerant per-op loop: a batch must
-    be valid.  An update or delete of an absent key raises ``KeyError``
-    out of :meth:`~repro.core.interfaces.AccessMethod.apply_batch`
-    instead of being skipped, because a window's I/O delta cannot be
-    re-attributed once an operation inside it has failed.  Workload
-    generators only emit valid streams.
+    With nothing observing, each run of same-category operations inside
+    a batch is one counter window (see :func:`_measure`), and a batch
+    must be valid: an update or delete of an absent key raises
+    ``KeyError`` instead of being skipped.  With ``metrics``,
+    ``audit_every``, ``live`` or span collection attached this *is*
+    :func:`measure_workload`, whatever the batch size.  (Device
+    *tracing* needs neither: trace events are emitted by the device
+    itself, in access order.)
     """
-    from repro.workloads.spec import OpKind  # local import to avoid a cycle
-
-    if metrics is not None or audit_every or live is not None or spans_active():
-        from itertools import chain
-
-        return measure_workload(
-            method,
-            chain.from_iterable(batches),
-            metrics=metrics,
-            audit_every=audit_every,
-            accumulator=accumulator,
-            live=live,
-        )
-    if accumulator is None:
-        accumulator = RUMAccumulator()
-    device = method.device
-    apply_batch = method.apply_batch
-    read_kinds = frozenset((OpKind.POINT_QUERY, OpKind.RANGE_QUERY))
-    every = _SPACE_SAMPLE_EVERY
-    executed = 0
-    for batch in batches:
-        n = len(batch)
-        start = 0
-        while start < n:
-            phase = (executed + 1) % every
-            if phase == 0:
-                accumulator.sample_space(method)
-                allowed = every
-            else:
-                allowed = every - phase
-            limit = start + allowed
-            if limit > n:
-                limit = n
-            is_read = batch[start].kind in read_kinds
-            end = start + 1
-            while end < limit and (batch[end].kind in read_kinds) == is_read:
-                end += 1
-            segment = batch[start:end]
-            before = device.snapshot()
-            outcomes = apply_batch(segment)
-            io = device.stats_since(before)
-            count = end - start
-            if is_read:
-                units = 0
-                for outcome in outcomes:
-                    units += outcome if outcome > 1 else 1
-                accumulator.record_read_batch(io, count, units)
-            else:
-                accumulator.record_update_batch(io, count)
-            executed += count
-            start = end
-    if accumulator.update_ops:
-        before = device.snapshot()
-        method.flush()
-        flush_io = device.stats_since(before)
-        accumulator.write_bytes += flush_io.write_bytes
-        accumulator.flush_read_bytes += flush_io.read_bytes
-        accumulator.simulated_time += flush_io.simulated_time
-    return accumulator.finish(method)
+    return _measure(
+        method, batches, False, metrics, audit_every, accumulator, live
+    )

@@ -173,29 +173,6 @@ class BPlusTree(AccessMethod):
             return node.values[index]
         return None
 
-    def _get_many(self, keys: Iterable[int]) -> List[Optional[int]]:
-        """Batched descent: the per-key walk of :meth:`get` with the
-        dispatch hoisted — device reads happen in the identical order."""
-        root = self._root
-        if root is None:
-            return [None for _ in keys]
-        read = self.device.read
-        bisect_right = bisect.bisect_right
-        bisect_left = bisect.bisect_left
-        out: List[Optional[int]] = []
-        append = out.append
-        for key in keys:
-            node = read(root)
-            while isinstance(node, _Internal):
-                node = read(node.children[bisect_right(node.keys, key)])
-            node_keys = node.keys
-            index = bisect_left(node_keys, key)
-            if index < len(node_keys) and node_keys[index] == key:
-                append(node.values[index])
-            else:
-                append(None)
-        return out
-
     def range_query(self, lo: int, hi: int) -> List[Record]:
         if self._root is None:
             return []

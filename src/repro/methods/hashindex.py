@@ -75,35 +75,15 @@ class HashIndex(AccessMethod):
             self._write_chain(bucket_index, group)
         self._record_count = len(records)
 
+    @spanned("hash.probe")
     def get(self, key: int) -> Optional[int]:
-        location = self._probe_location(key)
-        if location is None:
-            return None
-        _position, _block_id, index, records = location
-        return records[index][1]
-
-    def _get_many(self, keys: Iterable[int]) -> List[Optional[int]]:
-        """Batched probes: the chain walk of :meth:`_probe_location` with
-        dispatch and span plumbing hoisted — bucket blocks are read in
-        the identical order."""
-        directory = self._directory
-        buckets = len(directory)
-        read = self.device.read
-        out: List[Optional[int]] = []
-        append = out.append
-        for key in keys:
-            result = None
-            found = False
-            for block_id in directory[_mix(key, 0xB0CE) % buckets]:
-                for record_key, value in read(block_id):
-                    if record_key == key:
-                        result = value
-                        found = True
-                        break
-                if found:
-                    break
-            append(result)
-        return out
+        # The chain walk of _probe_location without its block copies and
+        # position bookkeeping, which only update and delete need.
+        for block_id in self._directory[self._bucket_of(key)]:
+            for record_key, value in self.device.read(block_id):
+                if record_key == key:
+                    return value
+        return None
 
     def range_query(self, lo: int, hi: int) -> List[Record]:
         # Hashing destroys order: a range query reads every bucket.

@@ -118,56 +118,6 @@ class LSMTree(AccessMethod):
                     return None if value is TOMBSTONE else value
         return None
 
-    def _get_many(self, keys: Iterable[int]) -> List[Optional[int]]:
-        """Batched probes: the memtable check and run walk of :meth:`get`
-        with dispatch and span plumbing hoisted — filter, fence and data
-        block reads happen in the identical order."""
-        memtable = self._memtable
-        levels = self._levels
-        read = self.device.read
-        bisect_right = bisect.bisect_right
-        bisect_left = bisect.bisect_left
-        fences_per_block = self._fences_per_block
-        out: List[Optional[int]] = []
-        append = out.append
-        for key in keys:
-            if key in memtable:
-                value = memtable[key]
-                append(None if value is TOMBSTONE else value)
-                continue
-            result = None
-            found = False
-            for level_runs in levels:
-                for run in reversed(level_runs):  # newest run first
-                    if key < run.min_key or key > run.max_key:
-                        continue
-                    bloom = run.bloom
-                    if bloom is not None:
-                        read(run.bloom_blocks[self._bloom_chunk_for(run, key)])
-                        if not bloom.may_contain(key):
-                            continue
-                    fence_index = max(
-                        0, bisect_right(run.fence_directory, key) - 1
-                    )
-                    fences = read(run.fence_blocks[fence_index])
-                    position = max(0, bisect_right(fences, key) - 1)
-                    records = read(
-                        run.data_blocks[
-                            fence_index * fences_per_block + position
-                        ]
-                    )
-                    record_keys = [record_key for record_key, _ in records]
-                    index = bisect_left(record_keys, key)
-                    if index < len(record_keys) and record_keys[index] == key:
-                        value = records[index][1]
-                        result = None if value is TOMBSTONE else value
-                        found = True
-                        break
-                if found:
-                    break
-            append(result)
-        return out
-
     def range_query(self, lo: int, hi: int) -> List[Record]:
         # Newest-version-wins merge across memtable and every run.
         newest: Dict[int, object] = {}
@@ -191,30 +141,6 @@ class LSMTree(AccessMethod):
         self._put(key, value)
         self._live_keys.add(key)
         self._record_count += 1
-
-    def _put_many(self, items: Iterable[Record]) -> None:
-        """Batched inserts: the memtable fill of :meth:`insert` with
-        dispatch hoisted.  Flushes (and anything touching the device)
-        still go through :meth:`_put`, so the I/O stream is identical."""
-        live = self._live_keys
-        threshold = self.memtable_records
-        memtable = self._memtable
-        count = len(memtable)
-        for key, value in items:
-            if key in live:
-                raise ValueError(f"duplicate key {key}")
-            if count + 1 >= threshold or key in memtable:
-                # Flush imminent (or a tombstone being overwritten):
-                # take the per-op path, then re-alias the — possibly
-                # replaced — memtable dict.
-                self._put(key, value)
-                memtable = self._memtable
-                count = len(memtable)
-            else:
-                memtable[key] = value
-                count += 1
-            live.add(key)
-            self._record_count += 1
 
     def update(self, key: int, value: int) -> None:
         if key not in self._live_keys:

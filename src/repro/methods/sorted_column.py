@@ -69,38 +69,6 @@ class SortedColumn(AccessMethod):
             return None
         return records[index][1]
 
-    def _get_many(self, keys: Iterable[int]) -> List[Optional[int]]:
-        """Batched lookups: the block binary search of :meth:`get` with
-        dispatch and span plumbing hoisted — midpoint blocks are read in
-        the identical order."""
-        extent = self._extent
-        if not extent:
-            return [None for _ in keys]
-        read = self.device.read
-        bisect_left = bisect.bisect_left
-        last = len(extent) - 1
-        out: List[Optional[int]] = []
-        append = out.append
-        for key in keys:
-            lo, hi = 0, last
-            while lo < hi:
-                mid = (lo + hi) // 2
-                records = read(extent[mid])
-                if not records:
-                    hi = mid
-                elif records[-1][0] < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            records = read(extent[lo])
-            block_keys = [record_key for record_key, _ in records]
-            index = bisect_left(block_keys, key)
-            if index < len(block_keys) and block_keys[index] == key:
-                append(records[index][1])
-            else:
-                append(None)
-        return out
-
     def range_query(self, lo: int, hi: int) -> List[Record]:
         if not self._extent:
             return []

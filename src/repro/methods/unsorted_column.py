@@ -50,34 +50,15 @@ class UnsortedColumn(AccessMethod):
         self._record_count = seen
         self._tail_count = len(batch) if batch else (self._per_block if seen else 0)
 
+    @spanned("unsorted.search")
     def get(self, key: int) -> Optional[int]:
-        location = self._locate(key)
-        if location is None:
-            return None
-        _block_id, index, records = location
-        return records[index][1]
-
-    def _get_many(self, keys: Iterable[int]) -> List[Optional[int]]:
-        """Batched scans: the linear walk of :meth:`_locate` with
-        dispatch and span plumbing hoisted — blocks are read in the
-        identical file order."""
-        extent = self._extent
-        read = self.device.read
-        out: List[Optional[int]] = []
-        append = out.append
-        for key in keys:
-            result = None
-            found = False
-            for block_id in extent:
-                for record_key, value in read(block_id):
-                    if record_key == key:
-                        result = value
-                        found = True
-                        break
-                if found:
-                    break
-            append(result)
-        return out
+        # The scan of _locate without its block copies and index
+        # bookkeeping, which only update and delete need.
+        for block_id in self._extent:
+            for record_key, value in self.device.read(block_id):
+                if record_key == key:
+                    return value
+        return None
 
     def range_query(self, lo: int, hi: int) -> List[Record]:
         matches: List[Record] = []
@@ -92,25 +73,6 @@ class UnsortedColumn(AccessMethod):
     def insert(self, key: int, value: int) -> None:
         self._append_record(key, value)
         self._record_count += 1
-
-    def _put_many(self, items: Iterable[Record]) -> None:
-        """Batched tail appends: :meth:`_append_record` with dispatch and
-        span plumbing hoisted — one tail-block rewrite (or fresh-block
-        write) per record, exactly as per-op."""
-        extent = self._extent
-        read = self.device.read
-        per_block = self._per_block
-        for key, value in items:
-            if not extent or self._tail_count == per_block:
-                self._append_block([(key, value)])
-                self._tail_count = 1
-            else:
-                tail_id = extent[-1]
-                records = list(read(tail_id))
-                records.append((key, value))
-                self._write_block(tail_id, records)
-                self._tail_count += 1
-            self._record_count += 1
 
     @spanned("unsorted.rewrite")
     def _append_record(self, key: int, value: int) -> None:

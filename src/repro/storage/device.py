@@ -27,6 +27,7 @@ pre-optimization hot path.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -143,22 +144,22 @@ class DeviceCounters:
 
     def copy(self) -> "DeviceCounters":
         """An independent snapshot of the current counter values."""
-        return DeviceCounters(*self.as_tuple())
+        return type(self)(*self.as_tuple())
 
     def delta(self, earlier: "DeviceCounters") -> "IOStats":
         """Difference between this snapshot and an ``earlier`` one."""
         return IOStats(
-            reads=self.reads - earlier.reads,
-            writes=self.writes - earlier.writes,
-            read_bytes=self.read_bytes - earlier.read_bytes,
-            write_bytes=self.write_bytes - earlier.write_bytes,
-            allocations=self.allocations - earlier.allocations,
-            frees=self.frees - earlier.frees,
-            simulated_time=self.simulated_time - earlier.simulated_time,
+            self.reads - earlier.reads,
+            self.writes - earlier.writes,
+            self.read_bytes - earlier.read_bytes,
+            self.write_bytes - earlier.write_bytes,
+            self.allocations - earlier.allocations,
+            self.frees - earlier.frees,
+            self.simulated_time - earlier.simulated_time,
         )
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DeviceCounters):
+        if type(other) is not type(self):
             return NotImplemented
         return self.as_tuple() == other.as_tuple()
 
@@ -166,31 +167,25 @@ class DeviceCounters:
         fields = ", ".join(
             f"{name}={value!r}" for name, value in zip(self.FIELDS, self.as_tuple())
         )
-        return f"DeviceCounters({fields})"
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class IOStats:
-    """Immutable delta of device counters over some window of operations."""
+class IOStats(DeviceCounters):
+    """Delta of device counters over some window of operations.
 
-    reads: int = 0
-    writes: int = 0
-    read_bytes: int = 0
-    write_bytes: int = 0
-    allocations: int = 0
-    frees: int = 0
-    simulated_time: float = 0.0
+    A value (equal and hashable by content; do not mutate one) in
+    :class:`DeviceCounters`' slotted layout: one is built for every
+    measured window, where a frozen dataclass's keyword ``__init__``
+    cost as much as the rest of a snapshot pair.
+    """
+
+    __slots__ = ()
 
     def __add__(self, other: "IOStats") -> "IOStats":
-        return IOStats(
-            reads=self.reads + other.reads,
-            writes=self.writes + other.writes,
-            read_bytes=self.read_bytes + other.read_bytes,
-            write_bytes=self.write_bytes + other.write_bytes,
-            allocations=self.allocations + other.allocations,
-            frees=self.frees + other.frees,
-            simulated_time=self.simulated_time + other.simulated_time,
-        )
+        return IOStats(*map(operator.add, self.as_tuple(), other.as_tuple()))
+
+    def __hash__(self) -> int:
+        return hash(self.as_tuple())
 
 
 class SimulatedDevice:

@@ -76,13 +76,15 @@ def run_workload(
     caller-owned (fresh) ``accumulator`` exposes the integer byte counts
     behind the final ratios (see :func:`~repro.core.rum.measure_workload`).
 
-    Measurement is batch-first: operations stream through
-    :func:`~repro.core.rum.measure_workload_batched` in batches of
-    ``batch_size`` (default :data:`DEFAULT_BATCH_SIZE`), which produces a
-    byte-identical profile to the per-op loop while amortizing dispatch
-    and counter bookkeeping.  Pass ``batch_size=1`` (or ``0``) to force
-    the per-op loop.  Instrumented runs (metrics, spans) take the per-op
-    loop automatically, whatever the batch size.
+    ``batch_size`` only chooses the entry point into the one measurement
+    loop: above 1 (default :data:`DEFAULT_BATCH_SIZE`) operations stream
+    through :func:`~repro.core.rum.measure_workload_batched`, which
+    brackets runs of same-category operations with one counter snapshot
+    pair; ``1`` (or ``0``) streams them through
+    :func:`~repro.core.rum.measure_workload`, one operation per window.
+    The profile is byte-identical either way.  Instrumented runs
+    (metrics, live, spans) run one operation per window, whatever the
+    batch size.
 
     When span collection is active the bulk load runs inside an
     ``op.bulk_load`` span, so load-phase I/O and allocations are
@@ -90,8 +92,8 @@ def run_workload(
 
     A :class:`~repro.obs.live.WindowedRUM` passed as ``live`` streams
     per-window RO/UO/MO while the workload runs (see
-    :mod:`repro.obs.live`); like metrics, it routes measurement through
-    the per-op loop so every operation's completion time is observable.
+    :mod:`repro.obs.live`); like metrics, it caps counter windows at one
+    operation so every operation's completion time is observable.
     """
     if generator is not None and generator.consumed:
         raise ValueError(

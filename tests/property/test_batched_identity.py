@@ -1,14 +1,15 @@
-"""Property: batched execution is byte-identical to per-op execution.
+"""Property: the measurement does not depend on counter-window length.
 
-The batch-first measurement pipeline (``operation_batches`` +
-``measure_workload_batched`` + the methods' ``get_many``/``put_many``/
-``apply_batch`` overrides) promises the *same observable measurement* as
-the per-op loop, for every batch size: the RUM profile, the span
+The measurement loop brackets *windows* of operations with device
+counter snapshots — one operation per window from ``measure_workload``,
+runs of same-category operations within a batch from
+``measure_workload_batched`` — and promises the *same observable
+measurement* whatever the window length: the RUM profile, the span
 profile, and the serialized device trace stream may not differ by a
-byte.  These properties drive both paths from identical specs and
-compare the artifacts exactly — no tolerances, since the counters are
-integers and every derived float is computed from identical integer
-sums.
+byte.  These properties drive both entry points from identical specs,
+across batch sizes, and compare the artifacts exactly — no tolerances,
+since the counters are integers and every derived float is computed
+from identical integer sums.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from repro.workloads.spec import MIXES
 
 from tests.conftest import SMALL_BLOCK
 
-#: The methods with hand-written batched overrides, plus a cross-section
-#: of loop-fallback structures — the property must hold for both.
+#: The benchmark's and the paper tables' methods, plus a cross-section of
+#: the rest of the registry.
 _METHODS = [
     "btree",
     "lsm",
@@ -91,8 +92,8 @@ def test_batched_profile_identical_to_per_op(name, mix, batch_size, seed):
     seed=st.integers(min_value=0, max_value=50),
 )
 def test_batched_trace_stream_identical_to_per_op(name, mix, batch_size, seed):
-    """The device emits its own trace events in access order, so the
-    batched overrides must touch blocks in exactly the per-op order."""
+    """The device emits its own trace events in access order, so a
+    window of operations must touch blocks in exactly the per-op order."""
     spec = _make_spec(mix, seed, operations=100)
     per_op_profile, per_op_events = _run(name, spec, batch_size=1, traced=True)
     batched_profile, batched_events = _run(
@@ -109,9 +110,9 @@ def test_batched_trace_stream_identical_to_per_op(name, mix, batch_size, seed):
     seed=st.integers(min_value=0, max_value=20),
 )
 def test_batched_span_profile_identical_to_per_op(name, batch_size, seed):
-    """With span collection active the batched loop falls back per-op,
-    so the span profile (phase attribution) is identity by construction
-    — pinned here so the fallback cannot silently disappear."""
+    """With span collection active every window is one operation, so
+    the span profile (phase attribution) is identity by construction —
+    pinned here so the observer rule cannot silently disappear."""
     spec = _make_spec("balanced", seed, operations=100)
 
     def run(batch_size: int):
@@ -140,8 +141,8 @@ def test_batched_span_profile_identical_to_per_op(name, batch_size, seed):
 
 @pytest.mark.parametrize("name", available_methods())
 def test_every_registered_method_is_batch_identical(name):
-    """One fixed spec across the whole registry: loop fallbacks and
-    hand-written overrides alike must preserve the measurement."""
+    """One fixed spec across the whole registry: every method must
+    preserve the measurement under windowed execution."""
     spec = _make_spec("balanced", seed=13, operations=80)
     per_op, _ = _run(name, spec, batch_size=1)
     batched, _ = _run(name, spec, batch_size=16)

@@ -228,28 +228,70 @@ class TestMeasureWorkloadBatched:
         )
         assert batched == per_op
 
+    @staticmethod
+    def _with_absent_keys(ops):
+        """``ops`` with an update and a delete of absent keys spliced in
+        as operations 16 and 32 — both space-sampling points."""
+        return (
+            ops[:15]
+            + [Operation(OpKind.UPDATE, 777777, 1)]
+            + ops[15:30]
+            + [Operation(OpKind.DELETE, 888888)]
+            + ops[30:]
+        )
+
     def test_accumulator_integers_match_per_op_loop(self):
         # Not just the final ratios: the integer numerators and
-        # denominators behind them must telescope exactly.
+        # denominators behind them must telescope exactly.  The second
+        # per-op stream also carries operations the tolerant loop skips:
+        # they charge nothing — not even the blocks the failed scan
+        # read — so every integer still matches the clean stream's.
         ops = self._ops()
-        per_op_acc = RUMAccumulator()
-        measure_workload(self._method(), ops, accumulator=per_op_acc)
         batched_acc = RUMAccumulator()
         measure_workload_batched(
             self._method(), self._batched(ops, 7), accumulator=batched_acc
         )
-        for field in (
-            "read_bytes",
-            "retrieved_bytes",
-            "write_bytes",
-            "updated_bytes",
-            "flush_read_bytes",
-            "read_ops",
-            "update_ops",
-        ):
-            assert getattr(batched_acc, field) == getattr(
-                per_op_acc, field
-            ), field
+        for per_op_stream in (ops, self._with_absent_keys(ops)):
+            per_op_acc = RUMAccumulator()
+            measure_workload(self._method(), per_op_stream, accumulator=per_op_acc)
+            for field in (
+                "read_bytes",
+                "retrieved_bytes",
+                "write_bytes",
+                "updated_bytes",
+                "flush_read_bytes",
+                "read_ops",
+                "update_ops",
+            ):
+                assert getattr(batched_acc, field) == getattr(
+                    per_op_acc, field
+                ), field
+
+    def test_skipped_operation_keeps_sampling_and_audit_cadence(self):
+        """A skipped operation still counts towards the 16-op sampling
+        cadence and the ``audit_every`` cadence; only its own audit is
+        not run (it was never executed)."""
+
+        class CountingAccumulator(RUMAccumulator):
+            samples = 0
+
+            def sample_space(self, method):
+                self.samples += 1
+                super().sample_space(method)
+
+        ops = self._with_absent_keys(self._ops())  # 44 operations
+        method = self._method()
+        audits = []
+        healthy_audit = method.audit
+        method.audit = lambda: audits.append(1) or healthy_audit()
+        accumulator = CountingAccumulator()
+        measure_workload(method, ops, audit_every=4, accumulator=accumulator)
+        assert accumulator.read_ops + accumulator.update_ops == 42
+        # Sampled before operations 16 and 32, skipped though both are.
+        assert accumulator.samples == 2
+        # After operations 4, 8, ..., 44 except the skipped 16th and
+        # 32nd, plus the audit after the terminal flush.
+        assert len(audits) == 11 - 2 + 1
 
     def test_space_sampling_cadence_matches_per_op_loop(self):
         """Peak MO must come from the same sampling points: windows are
@@ -272,30 +314,61 @@ class TestMeasureWorkloadBatched:
         with pytest.raises(KeyError):
             measure_workload_batched(self._method(), [ops])
 
-    def test_metrics_delegate_to_per_op_loop(self):
-        # Per-op instrumentation cannot be amortized; with a metrics
-        # sink supplied the batched entry point must produce the per-op
-        # loop's histograms (by delegating to it).
+    @pytest.mark.parametrize("observer", ["metrics", "live", "spans"])
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_observed_batches_run_one_operation_per_window(self, observer, size):
+        # What an observer sees of an operation cannot be recovered from
+        # a longer window, so with a metrics sink, a live consumer or
+        # span collection attached the batched entry point *is* the
+        # per-op loop, whatever the batch size: tolerant of absent keys,
+        # and producing identical histograms / frames / span-stamped
+        # trace events.
+        from repro.obs.live import WindowedRUM
         from repro.obs.metrics import WorkloadMetrics
+        from repro.obs.sinks import ListSink
+        from repro.obs.spans import span_collection
+        from repro.obs.tracer import RecordingTracer
 
-        ops = self._ops()
-        per_op_metrics = WorkloadMetrics()
-        per_op = measure_workload(self._method(), ops, metrics=per_op_metrics)
-        batched_metrics = WorkloadMetrics()
-        batched = measure_workload_batched(
-            self._method(), self._batched(ops, 8), metrics=batched_metrics
-        )
+        ops = self._with_absent_keys(self._ops())
+
+        def observe(entry, stream):
+            method = self._method()
+            sink = ListSink()
+            method.device.set_tracer(RecordingTracer(sink))
+            metrics = WorkloadMetrics() if observer == "metrics" else None
+            live = WindowedRUM(50.0) if observer == "live" else None
+            accumulator = RUMAccumulator()
+            if observer == "spans":
+                with span_collection():
+                    profile = entry(method, stream, accumulator=accumulator)
+            else:
+                profile = entry(
+                    method, stream, metrics=metrics, live=live,
+                    accumulator=accumulator,
+                )
+            histograms = metrics and {
+                label: (
+                    metrics.blocks[label].to_dict(),
+                    metrics.time[label].to_dict(),
+                )
+                for label in metrics.labels()
+            }
+            return (
+                profile,
+                accumulator,
+                histograms,
+                live and live.frames(),
+                [event.to_dict() for event in sink.events],
+            )
+
+        per_op = observe(measure_workload, ops)
+        batched = observe(measure_workload_batched, self._batched(ops, size))
         assert batched == per_op
-        assert batched_metrics.labels() == per_op_metrics.labels()
-        for label in per_op_metrics.labels():
-            assert (
-                batched_metrics.blocks[label].to_dict()
-                == per_op_metrics.blocks[label].to_dict()
-            ), label
-            assert (
-                batched_metrics.time[label].to_dict()
-                == per_op_metrics.time[label].to_dict()
-            ), label
+        assert per_op[1].read_ops + per_op[1].update_ops == len(ops) - 2
+        if observer == "spans":
+            assert any(
+                event["span"].startswith("op.update") for event in per_op[4]
+            )
 
     def test_audit_every_delegates_and_raises(self):
         from repro.check import AuditError

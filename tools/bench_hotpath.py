@@ -274,10 +274,10 @@ def bench_device(ops: int, trials: int) -> Dict[str, float]:
     return results
 
 
-#: Mixes the end-to-end workload comparison runs.  The batched win
-#: scales with homogeneous run length: a read-dominated stream hands
-#: ``get_many`` long key lists, while a balanced mix alternates read and
-#: write segments every couple of operations and amortizes little.
+#: Mixes the end-to-end workload comparison runs.  What windowed
+#: execution saves scales with homogeneous run length: a read-dominated
+#: stream runs up to 16 operations per counter window, while a balanced
+#: mix alternates read and write windows every couple of operations.
 WORKLOAD_MIXES = {
     "balanced": dict(
         point_queries=0.4, range_queries=0.1,

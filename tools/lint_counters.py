@@ -29,9 +29,10 @@ substrate.  This checker walks the AST of every module under
   :func:`repro.obs.tracer.emit_fault_event`);
 * any per-op device bookkeeping (``snapshot``, ``stats_since``, the
   derived ``counters`` property) inside a loop of a batched entry point
-  (``*_many`` / ``apply_batch``) outside ``repro/storage`` — batched
-  paths exist to amortize exactly that work, so it must happen per
-  batch, before or after the loop;
+  (``*_many`` / ``apply_batch``) outside ``repro/storage`` — the one
+  measurement loop (``repro.core.rum``) brackets a whole window with one
+  snapshot pair, so a function that executes a window must not take
+  another per operation inside it;
 * any direct device mutation (``write``, ``write_many``, ``allocate``,
   ``free``) inside ``repro/serve`` outside ``wal.py`` — the serving
   tier's durability story depends on every durable byte flowing through
@@ -115,12 +116,14 @@ POOL_MODULE = os.path.join("repro", "storage", "pager.py")
 #: Subtree whose modules own the counters and may mutate them.
 ALLOWED_SUBPACKAGE = os.path.join("repro", "storage")
 
-#: Device bookkeeping that a batched entry point must perform per
-#: *batch*, not per operation: a ``snapshot``/``stats_since`` pair or a
-#: ``counters`` materialization inside the loop of a ``*_many`` /
-#: ``apply_batch`` function re-introduces exactly the per-op overhead
-#: the batched surface exists to amortize (``counters`` is a derived
-#: property on the device — every touch builds a fresh dataclass).
+#: Device bookkeeping that belongs to the measurement loop, once per
+#: counter *window*, never to the function executing the window: a
+#: ``snapshot``/``stats_since`` pair or a ``counters`` materialization
+#: inside the loop of ``apply_batch`` (the loop's one operation
+#: dispatch) or of a ``*_many`` function (``FaultyDevice.read_many`` /
+#: ``write_many``) would pay per operation what the window pays once
+#: (``counters`` is a derived property on the device — every touch
+#: builds a fresh object).
 PER_OP_BOOKKEEPING = {"snapshot", "stats_since", "counters"}
 
 #: Function names treated as batched entry points for the rule above.
@@ -353,8 +356,8 @@ def _batch_loop_bookkeeping(tree: ast.AST, path: str) -> List[Violation]:
 
     Flags any ``snapshot`` / ``stats_since`` / ``counters`` attribute
     reached inside a ``for``/``while`` loop of a function named
-    ``*_many`` or ``apply_batch``; such bookkeeping belongs before or
-    after the loop (per batch), never per iteration.
+    ``*_many`` or ``apply_batch``; such bookkeeping is the measurement
+    loop's, once around the whole call, never per iteration inside it.
     """
     found: List[Violation] = []
     seen = set()
