@@ -17,11 +17,7 @@ the paper reproduction rests on:
 
 from __future__ import annotations
 
-import os
-import sys
 import time
-
-import pytest
 
 from repro.analysis.tables import format_table
 from repro.obs.sinks import ListSink
@@ -119,52 +115,6 @@ def test_disabled_guard_costs_nothing(benchmark):
     assert disabled_s <= enabled_s * 1.5, (
         f"disabled tracing ({disabled_s:.4f}s) slower than enabled "
         f"({enabled_s:.4f}s) — the null-tracer hot path has gained work"
-    )
-    mark(benchmark)
-
-
-#: Methods the span-profile regression gate watches.
-GATE_METHODS = ("btree", "lsm")
-#: Workload parameters pinned so baseline and candidate are comparable.
-GATE_ARGS = ["--workload", "balanced", "--records", "2000", "--ops", "800"]
-
-
-def test_span_profile_regression_gate(benchmark):
-    """Run ``tools/bench_gate.py`` against committed span baselines.
-
-    Opt-in: set ``REPRO_BENCH_GATE`` to a baseline directory.  A missing
-    baseline is (re)seeded from the current build and the gate passes —
-    commit the directory to arm it; subsequent runs fail on any span
-    byte-attribution drift or a large throughput drop.
-    """
-    baseline_dir = os.environ.get("REPRO_BENCH_GATE")
-    if not baseline_dir:
-        pytest.skip("set REPRO_BENCH_GATE=<baseline dir> to run the gate")
-    os.makedirs(baseline_dir, exist_ok=True)
-
-    from repro.cli import main as repro_main
-
-    tools_path = os.path.join(os.path.dirname(__file__), "..", "tools")
-    sys.path.insert(0, tools_path)
-    try:
-        import bench_gate
-    finally:
-        sys.path.remove(tools_path)
-
-    failures = []
-    for method in GATE_METHODS:
-        baseline_path = os.path.join(baseline_dir, f"{method}.json")
-        candidate_path = os.path.join(baseline_dir, f"{method}.candidate.json")
-        explain = ["explain", method, "--json"] + GATE_ARGS
-        if not os.path.exists(baseline_path):
-            assert repro_main(explain + ["--output", baseline_path]) == 0
-            continue  # freshly seeded: nothing to compare yet
-        assert repro_main(explain + ["--output", candidate_path]) == 0
-        code = bench_gate.main([baseline_path, candidate_path, "--quiet"])
-        if code != 0:
-            failures.append(method)
-    assert failures == [], (
-        f"span-profile regression vs {baseline_dir}: {', '.join(failures)}"
     )
     mark(benchmark)
 

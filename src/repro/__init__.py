@@ -28,7 +28,7 @@ from repro.core.rum import (
     measure_workload,
     measure_workload_batched,
 )
-from repro.core.space import RUMPoint, nearest_corner, project
+from repro.core.space import RUMPoint, project
 from repro.storage.device import CostModel, SimulatedDevice
 from repro.workloads.generator import WorkloadGenerator, generate_operations
 from repro.workloads.runner import WorkloadResult, run_workload
@@ -67,7 +67,6 @@ __all__ = [
     "load_trace",
     "measure_workload",
     "measure_workload_batched",
-    "nearest_corner",
     "project",
     "run_workload",
     "save_trace",

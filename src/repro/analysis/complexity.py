@@ -121,22 +121,3 @@ TABLE1_MODELS: Dict[str, Table1Model] = {
         update=lambda p: 1.0,
     ),
 }
-
-
-def expected_winner(operation: str) -> str:
-    """Which Table-1 organization the paper says wins each operation.
-
-    These are the claims the Table-1 benchmark asserts against measured
-    data ("ZoneMaps have the smaller size ... Hash Indexes offer the
-    fastest point queries, while B+-Trees offer the fastest range
-    queries ... the update cost is best for Hash Indexes").
-    """
-    winners = {
-        "index_size": "zonemap",
-        "point_query": "hash-index",
-        "range_query": "btree",
-        "update": "hash-index",
-    }
-    if operation not in winners:
-        raise KeyError(f"no stated winner for operation {operation!r}")
-    return winners[operation]

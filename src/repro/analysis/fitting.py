@@ -1,65 +1,16 @@
-"""Shape classification of measured cost curves.
+"""Growth indicators for measured cost curves.
 
 The Table-1 reproduction does not (and should not) try to match the
 paper's constants — our substrate is a simulator.  What must match is
 the *growth shape*: a hash probe stays flat as N grows, a tree probe
-grows logarithmically, a scan grows linearly.  This module fits measured
-(n, cost) series against candidate complexity classes by normalized
-least squares and reports the best-fitting label.
+grows logarithmically, a scan grows linearly.  This module reduces a
+measured (n, cost) series to how much it grew end to end, which the
+Table-1 bench compares against each shape's expected growth.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Sequence, Tuple
-
-#: Candidate growth shapes, each a function of n.
-SHAPES: Dict[str, Callable[[float], float]] = {
-    "constant": lambda n: 1.0,
-    "log": lambda n: math.log(max(n, 2)),
-    "log^2": lambda n: math.log(max(n, 2)) ** 2,
-    "sqrt": lambda n: math.sqrt(n),
-    "linear": lambda n: n,
-    "nlogn": lambda n: n * math.log(max(n, 2)),
-}
-
-
-def _fit_error(
-    ns: Sequence[float], costs: Sequence[float], shape: Callable[[float], float]
-) -> float:
-    """Relative least-squares error of fitting costs = c * shape(n).
-
-    The optimal scale c is solved in closed form; the error is
-    normalized by the series magnitude so different shapes compare
-    fairly.
-    """
-    predictions = [shape(n) for n in ns]
-    denom = sum(p * p for p in predictions)
-    if denom == 0:
-        return float("inf")
-    scale = sum(p * c for p, c in zip(predictions, costs)) / denom
-    if scale <= 0:
-        return float("inf")
-    sse = sum((scale * p - c) ** 2 for p, c in zip(predictions, costs))
-    magnitude = sum(c * c for c in costs) or 1.0
-    return sse / magnitude
-
-
-def fit_scores(
-    ns: Sequence[float], costs: Sequence[float]
-) -> Dict[str, float]:
-    """Relative fit error of every candidate shape (smaller is better)."""
-    if len(ns) != len(costs):
-        raise ValueError("ns and costs must have equal length")
-    if len(ns) < 3:
-        raise ValueError("need at least 3 points to classify a shape")
-    return {name: _fit_error(ns, costs, shape) for name, shape in SHAPES.items()}
-
-
-def best_fit(ns: Sequence[float], costs: Sequence[float]) -> str:
-    """Label of the best-fitting growth shape."""
-    scores = fit_scores(ns, costs)
-    return min(scores, key=scores.get)
+from typing import Sequence
 
 
 def growth_ratio(ns: Sequence[float], costs: Sequence[float]) -> float:
@@ -78,28 +29,3 @@ def growth_ratio(ns: Sequence[float], costs: Sequence[float]) -> float:
 def is_flat(ns: Sequence[float], costs: Sequence[float], tolerance: float = 2.0) -> bool:
     """True when the curve grows by less than ``tolerance`` x overall."""
     return growth_ratio(ns, costs) <= tolerance
-
-
-def grows_at_most_log(
-    ns: Sequence[float], costs: Sequence[float], slack: float = 3.0
-) -> bool:
-    """True when growth is bounded by ``slack`` x the log growth of n."""
-    pairs = sorted(zip(ns, costs))
-    n0, c0 = pairs[0]
-    n1, c1 = pairs[-1]
-    if c0 <= 0:
-        return True
-    log_growth = math.log(max(n1, 2)) / math.log(max(n0, 2))
-    return (c1 / c0) <= slack * log_growth
-
-
-def grows_at_least_linear(
-    ns: Sequence[float], costs: Sequence[float], slack: float = 0.3
-) -> bool:
-    """True when growth is at least ``slack`` x the linear growth of n."""
-    pairs = sorted(zip(ns, costs))
-    n0, c0 = pairs[0]
-    n1, c1 = pairs[-1]
-    if c0 <= 0:
-        return False
-    return (c1 / c0) >= slack * (n1 / n0)

@@ -3,7 +3,7 @@
 Section 3's conjecture is a statement about the frontier of the design
 space: every access method trades somewhere, so the set of non-dominated
 designs is broad and no single point wins.  These helpers compute that
-frontier over measured profiles and quantify each profile's tradeoff.
+frontier over measured profiles and how widely it spans each axis.
 """
 
 from __future__ import annotations
@@ -26,33 +26,6 @@ def pareto_frontier(profiles: Dict[str, RUMProfile]) -> List[str]:
         if not dominated:
             frontier.append(name)
     return frontier
-
-
-def dominated_by(profiles: Dict[str, RUMProfile], name: str) -> List[str]:
-    """Names of the profiles that dominate ``name`` (sorted)."""
-    if name not in profiles:
-        raise KeyError(name)
-    return sorted(
-        other
-        for other in profiles
-        if other != name and profiles[other].dominates(profiles[name])
-    )
-
-
-def sacrifice(profile: RUMProfile) -> Tuple[str, float]:
-    """The axis a profile sacrifices, and by how much.
-
-    Returns the overhead name ("read" / "update" / "memory") with the
-    largest amplification relative to its theoretical floor of 1.0 —
-    "which overhead did this design pay with?".
-    """
-    overheads = {
-        "read": profile.read_overhead,
-        "update": profile.update_overhead,
-        "memory": profile.memory_overhead,
-    }
-    worst = max(overheads, key=overheads.get)
-    return worst, overheads[worst]
 
 
 def frontier_span(profiles: Dict[str, RUMProfile]) -> Dict[str, Tuple[float, float]]:

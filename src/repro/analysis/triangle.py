@@ -82,12 +82,3 @@ def _stamp(grid: List[List[str]], row: int, column: int, text: str) -> None:
     for offset, char in enumerate(text):
         if 0 <= column + offset < len(grid[0]):
             grid[row][column + offset] = char
-
-
-def describe_point(point: RUMPoint) -> str:
-    """One-line summary of a placement for report output."""
-    w_read, w_write, w_space = point.weights
-    return (
-        f"{point.name}: read-affinity={w_read:.2f} "
-        f"write-affinity={w_write:.2f} space-affinity={w_space:.2f}"
-    )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.obs.tracer import Tracer, emit_fault_event
 from repro.storage.block import BlockId
@@ -105,16 +105,6 @@ class FaultPlan:
         ):
             if at is not None and at < 1:
                 raise ValueError(f"{label} is 1-based and must be >= 1, got {at}")
-
-    @property
-    def can_fault(self) -> bool:
-        """Whether this plan can ever inject a fault."""
-        return (
-            self.fail_read_at is not None
-            or self.fail_write_at is not None
-            or self.read_failure_rate > 0.0
-            or self.write_failure_rate > 0.0
-        )
 
 
 class FaultyDevice(SimulatedDevice):
@@ -246,42 +236,6 @@ class FaultyDevice(SimulatedDevice):
                 self._fault("write", block_id, f"eligible write #{self._eligible_writes}")
         self.backing.write(block_id, payload, used_bytes=used_bytes)
 
-    def read_many(self, block_ids: Iterable[BlockId]) -> List[object]:
-        """Batched reads with per-op fault parity.
-
-        Armed, the batch routes through :meth:`read` one access at a
-        time so the Nth-eligible-read trigger fires at exactly the same
-        operation index as the per-op path (reads before the fault are
-        performed and charged, like a prefix-committing batch).
-        Disarmed, it delegates to the backing device's batched fast
-        path untouched.
-        """
-        plan = self.plan
-        if plan is None:
-            return self.backing.read_many(block_ids)
-        read = self.read
-        return [read(block_id) for block_id in block_ids]
-
-    def write_many(
-        self,
-        block_ids: Sequence[BlockId],
-        payloads: Sequence[object],
-        used_bytes: Sequence[int],
-    ) -> None:
-        """Batched writes with per-op fault parity (see :meth:`read_many`)."""
-        plan = self.plan
-        if plan is None:
-            self.backing.write_many(block_ids, payloads, used_bytes)
-            return
-        n = len(block_ids)
-        if len(payloads) != n or len(used_bytes) != n:
-            raise ValueError(
-                "write_many requires equal-length id/payload/used sequences"
-            )
-        write = self.write
-        for index in range(n):
-            write(block_ids[index], payloads[index], used_bytes=used_bytes[index])
-
     # ------------------------------------------------------------------
     # Everything else is a transparent delegate to the backing device.
     # ------------------------------------------------------------------
@@ -317,9 +271,6 @@ class FaultyDevice(SimulatedDevice):
 
     def used_bytes(self) -> int:
         return self.backing.used_bytes()
-
-    def fill_factor(self) -> float:
-        return self.backing.fill_factor()
 
     def blocks_by_kind(self):
         return self.backing.blocks_by_kind()

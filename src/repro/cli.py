@@ -28,7 +28,7 @@ Commands
     compaction, bloom probe, ...).  The per-span fractions sum *exactly*
     to the aggregate profile — an audit certifies it, and any violation
     is printed and exits non-zero.  ``--json`` emits the machine-readable
-    profile that ``tools/bench_gate.py`` diffs.
+    profile.
 ``flame``
     Same spanned run, emitted as folded stacks (``a;b;c weight`` lines)
     for Brendan Gregg's ``flamegraph.pl``.  ``--weight`` selects bytes
@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--json",
         action="store_true",
-        help="emit the machine-readable profile (tools/bench_gate.py input)",
+        help="emit the machine-readable profile",
     )
     explain.add_argument(
         "--output", default=None, help="also write the output to this file"

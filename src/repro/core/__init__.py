@@ -25,7 +25,6 @@ from repro.core.space import (
     CORNER_SPACE,
     CORNER_WRITE,
     RUMPoint,
-    nearest_corner,
     project,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "available_methods",
     "create_method",
     "measure_workload",
-    "nearest_corner",
     "project",
     "register_method",
 ]

@@ -43,11 +43,6 @@ class RUMPoint:
     y: float
     weights: Tuple[float, float, float]  # (read, write, space) goodness
 
-    def distance_to(self, corner: str) -> float:
-        """Euclidean distance from this placement to a corner."""
-        cx, cy = CORNER_POSITIONS[corner]
-        return math.hypot(self.x - cx, self.y - cy)
-
 
 def goodness(overhead: float) -> float:
     """Map an amplification ratio in [1, inf) to goodness in (0, 1].
@@ -93,12 +88,6 @@ def project(profile: RUMProfile, name: str = "") -> RUMPoint:
     )
 
 
-def nearest_corner(profile: RUMProfile) -> str:
-    """The corner a profile sits closest to — its design-family label."""
-    point = project(profile)
-    return min(CORNER_POSITIONS, key=point.distance_to)
-
-
 def project_field(profiles: Dict[str, RUMProfile]) -> Dict[str, RUMPoint]:
     """Place a *set* of profiles in the triangle, field-normalized.
 
@@ -141,9 +130,3 @@ def project_field(profiles: Dict[str, RUMProfile]) -> Dict[str, RUMPoint]:
             weights=weights,
         )
     return points
-
-
-def corner_affinity(profile: RUMProfile) -> Dict[str, float]:
-    """Per-corner affinity in [0, 1]: the barycentric weight per corner."""
-    w_read, w_write, w_space = barycentric_weights(profile)
-    return {CORNER_READ: w_read, CORNER_WRITE: w_write, CORNER_SPACE: w_space}

@@ -199,17 +199,18 @@ def _run_cell(
         random.setstate(rng_state)
 
 
-def execute_cell_payload(args: Tuple[str, bool]) -> str:
-    """Execute one encoded cell; returns its encoded envelope.
+def _decode_hit(cache: ResultCache, envelope: str) -> Optional[Dict[str, Any]]:
+    """Decode a cache hit, or recount it as a miss if it does not decode.
 
-    The canonical-envelope entry point, kept for callers that want the
-    byte form directly; the engine itself dispatches
-    :func:`_execute_one`, which skips the envelope when nothing needs
-    it.
+    Truncated or garbled bytes on disk are no usable entry: the cell
+    re-executes and its ``put`` rewrites the entry atomically.
     """
-    cell_payload, collect_events = args
-    result, events = _run_cell(cell_payload, collect_events)
-    return encode_envelope(result, events)
+    try:
+        return decode_envelope(envelope)
+    except (ValueError, KeyError, TypeError):
+        cache.hits -= 1
+        cache.misses += 1
+        return None
 
 
 #: A unit of dispatch: the encoded cell, the tracing flag, and the
@@ -336,16 +337,6 @@ class SweepOutcome:
     #: Executed cell indices in the order they were handed out
     #: (longest-predicted first).
     dispatch_order: List[int] = field(default_factory=list)
-
-    def by_label(self) -> Dict[str, CellResult]:
-        """Results keyed by cell label (labels must be unique to use this)."""
-        mapping: Dict[str, CellResult] = {}
-        for cell, result in zip(self.cells, self.results):
-            label = cell.display_label
-            if label in mapping:
-                raise ValueError(f"duplicate cell label {label!r} in sweep")
-            mapping[label] = result
-        return mapping
 
 
 #: Fallback seconds-per-unit before any cell has been observed.  Only
@@ -492,9 +483,7 @@ class SweepEngine:
         cells = list(cells)
         count = len(cells)
         payloads = [encode_cell(cell) for cell in cells]
-        envelopes: List[Optional[str]] = [None] * count
-        raw_results: List[Optional[CellResult]] = [None] * count
-        shipped_raw = [False] * count
+        decoded: List[Optional[Dict[str, Any]]] = [None] * count
         cell_seconds: List[Optional[float]] = [None] * count
 
         keys: List[Optional[str]] = [None] * count
@@ -502,14 +491,16 @@ class SweepEngine:
             for index, payload in enumerate(payloads):
                 key = self.cache.key_for(payload)
                 keys[index] = key
-                envelopes[index] = self.cache.lookup(
+                envelope = self.cache.lookup(
                     key, require_traced=self.collect_events
                 )
+                if envelope is not None:
+                    decoded[index] = _decode_hit(self.cache, envelope)
 
         pending = [
             index
             for index in range(count)
-            if envelopes[index] is None
+            if decoded[index] is None
         ]
         predicted = {
             index: self._predict_seconds(cells[index], keys[index])
@@ -557,25 +548,20 @@ class SweepEngine:
                         f"{getattr(self.cache, 'root', None)!r}, but it "
                         f"cannot be read back"
                     )
-                envelopes[index] = stored
+                decoded[index] = decode_envelope(stored)
             elif tag == _SHIPPED_ENVELOPE:
-                envelopes[index] = value
+                decoded[index] = decode_envelope(value)
             else:
-                raw_results[index] = value
-                shipped_raw[index] = True
+                decoded[index] = {"result": value, "events": None}
 
         results: List[CellResult] = []
         merged_events: Optional[List[TraceEvent]] = (
             [] if self.collect_events else None
         )
-        for index in range(count):
-            if shipped_raw[index]:
-                results.append(raw_results[index])
-                continue
-            decoded = decode_envelope(envelopes[index])
-            results.append(decoded["result"])
-            if merged_events is not None and decoded["events"]:
-                for event_dict in decoded["events"]:
+        for envelope in decoded:
+            results.append(envelope["result"])
+            if merged_events is not None and envelope["events"]:
+                for event_dict in envelope["events"]:
                     fields = dict(event_dict)
                     fields["seq"] = len(merged_events)
                     merged_events.append(TraceEvent(**fields))

@@ -6,25 +6,20 @@ probability (or lossy summarization) for dramatic space savings, and
 computation for auxiliary-data size.
 
 ``bloom``
-    Standard and counting Bloom filters.
+    Bloom filters and their optimal sizing.
 ``quotient``
     An updatable quotient filter (Section 5's "updatable probabilistic
     data structures" for approximate indexing).
-``countmin``
-    Count-min sketch, the paper's example of a lossy hash-based index.
 ``zonefilter``
     Min/max zone synopsis shared by ZoneMaps and LSM run fences.
 """
 
-from repro.filters.bloom import BloomFilter, CountingBloomFilter, optimal_bits, optimal_hashes
-from repro.filters.countmin import CountMinSketch
+from repro.filters.bloom import BloomFilter, optimal_bits, optimal_hashes
 from repro.filters.quotient import QuotientFilter
 from repro.filters.zonefilter import ZoneSynopsis
 
 __all__ = [
     "BloomFilter",
-    "CountMinSketch",
-    "CountingBloomFilter",
     "QuotientFilter",
     "ZoneSynopsis",
     "optimal_bits",

@@ -103,54 +103,8 @@ class BloomFilter:
     def items(self) -> int:
         return self._items
 
-    def estimated_false_positive_rate(self) -> float:
-        """FPR estimate at the current load: (1 - e^{-kn/m})^k."""
-        if self.bits == 0:
-            return 1.0
-        exponent = -self.hash_count * self._items / self.bits
-        return (1.0 - math.exp(exponent)) ** self.hash_count
-
     def _positions(self, key: int) -> List[int]:
         # Kirsch-Mitzenmacher double hashing: h1 + i*h2 mod m.
         h1 = _mix(key, 0x51ED)
         h2 = _mix(key, 0xC0FFEE) | 1
         return [(h1 + i * h2) % self.bits for i in range(self.hash_count)]
-
-
-class CountingBloomFilter(BloomFilter):
-    """Bloom filter with per-position counters, supporting deletion.
-
-    Counters are 8-bit (saturating); size is 8x a plain filter with the
-    same parameters — the space price of supporting deletes, itself a
-    small RUM tradeoff.
-    """
-
-    def __init__(
-        self, expected_items: int, false_positive_rate: float = 0.01
-    ) -> None:
-        super().__init__(expected_items, false_positive_rate)
-        self._counters = bytearray(self.bits)
-        self._array = bytearray(0)  # unused in the counting variant
-
-    def add(self, key: int) -> None:
-        """Insert a key, incrementing its positions' counters."""
-        for position in self._positions(key):
-            if self._counters[position] < 255:
-                self._counters[position] += 1
-        self._items += 1
-
-    def remove(self, key: int) -> None:
-        """Remove one occurrence.  Removing an absent key corrupts the
-        filter, as with any counting Bloom filter — callers must only
-        remove keys they added."""
-        for position in self._positions(key):
-            if self._counters[position] > 0:
-                self._counters[position] -= 1
-        self._items = max(0, self._items - 1)
-
-    def may_contain(self, key: int) -> bool:
-        return all(self._counters[position] for position in self._positions(key))
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self._counters)

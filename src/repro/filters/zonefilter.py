@@ -52,22 +52,6 @@ class ZoneSynopsis:
             return self._entries[index]
         return None
 
-    def candidates_for_key(self, key: int) -> List[int]:
-        """Partition indexes whose bounds admit ``key``."""
-        return [
-            index
-            for index, entry in enumerate(self._entries)
-            if entry is not None and entry.may_contain(key)
-        ]
-
-    def candidates_for_range(self, lo: int, hi: int) -> List[int]:
-        """Partition indexes whose bounds overlap ``[lo, hi]``."""
-        return [
-            index
-            for index, entry in enumerate(self._entries)
-            if entry is not None and entry.overlaps(lo, hi)
-        ]
-
     def __len__(self) -> int:
         return sum(1 for entry in self._entries if entry is not None)
 

@@ -388,12 +388,6 @@ class BitmapIndex(AccessMethod):
         for position in clears.positions():
             vector.set(position, False)
 
-    def merge_all_deltas(self) -> None:
-        """Fold every pending delta into its main bitmap."""
-        for value in list(self._deltas):
-            self._merge_delta(value)
-            self._materialize(value)
-
     def _effective_positions(self, value: int) -> List[int]:
         vector = self._vectors.get(value)
         base = set(vector.positions()) if vector is not None else set()

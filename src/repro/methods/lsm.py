@@ -171,15 +171,6 @@ class LSMTree(AccessMethod):
         """Run count at each level, top to bottom."""
         return [len(level_runs) for level_runs in self._levels]
 
-    def bloom_space_bytes(self) -> int:
-        """Device space occupied by Bloom-filter blocks."""
-        blocks = sum(
-            len(run.bloom_blocks)
-            for level_runs in self._levels
-            for run in level_runs
-        )
-        return blocks * self.device.block_bytes
-
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------

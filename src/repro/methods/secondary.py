@@ -149,11 +149,6 @@ class IndexedHeap(AccessMethod):
         self._record_count -= 1
 
     # ------------------------------------------------------------------
-    def index_blocks(self) -> int:
-        """Blocks the auxiliary index occupies (MO's auxiliary part)."""
-        return self.device.allocated_blocks - len(self._heap_blocks)
-
-    # ------------------------------------------------------------------
     def _append_row(self, key: int, value: int) -> int:
         if self._free_slots:
             position = self._free_slots.pop()

@@ -24,9 +24,6 @@ from repro.obs.spans import spanned
 from repro.storage.device import SimulatedDevice
 from repro.storage.layout import POINTER_BYTES, RECORD_BYTES
 
-#: Default digit width in bits when the block size does not suggest one.
-DEFAULT_DIGIT_BITS = 8
-
 
 def _fit_digit_bits(block_bytes: int) -> int:
     """Largest digit width whose full node fits one block.

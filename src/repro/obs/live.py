@@ -35,8 +35,9 @@ Three layers, from generic to specific:
 
 The disabled path is near-zero-cost by the same discipline as spans:
 the measurement loop guards every tap with one ``live is not None``
-check (gated in ``BENCH_hotpath.json``), and windows only exist while a
-consumer holds them.
+check (priced by the unobserved ``lib-*`` workloads of
+``benchmarks/perf``), and windows only exist while a consumer holds
+them.
 """
 
 from __future__ import annotations
@@ -388,14 +389,6 @@ class WindowedRUM(_WindowRing):
             for name in self.INT_FIELDS:
                 out[name] += getattr(window, name)
         return out
-
-    def peak_space_amplification(self) -> float:
-        """Largest space-amplification sample across retained windows."""
-        peak = 0.0
-        for window in self.windows():
-            if window.space_amplification > peak:
-                peak = window.space_amplification
-        return peak
 
     def frames(self) -> List[Dict[str, Any]]:
         """JSON-pure per-window frames, oldest first.

@@ -15,13 +15,13 @@ Zero-cost-when-disabled contract
 Span tracking is gated on a module-global flag that is only raised
 inside :func:`span_collection`.  Instrumentation sites on method hot
 paths use the :func:`spanned` decorator, whose disabled path is a single
-global check and a plain tail-call (~100ns — measured by
-``tools/bench_hotpath.py``, which asserts the instrumentation adds <2%
-to the measured per-operation cost).  The :class:`span` context manager
+global check and a plain tail-call; ``benchmarks/perf`` prices it in
+every unobserved ``lib-*`` workload's ``ops_per_s`` and reports the
+enabled cost as ``obs.spans_slowdown``.  The :class:`span` context manager
 is for cold paths (compaction, rehash) and ad-hoc callers.  The span
 *stack* itself lives in a :class:`~contextvars.ContextVar`, so spans are
 safe under threads; worker processes activate their own collection scope
-(see :func:`repro.exec.engine.execute_cell_payload`), so profiles built
+(see :mod:`repro.exec.engine`), so profiles built
 from merged parallel-sweep events are byte-identical to serial ones.
 """
 
@@ -54,8 +54,8 @@ _active = False
 #: The current span path, per execution context.
 _path: ContextVar[str] = ContextVar("repro_span_path", default="")
 
-# Number of span entries while active; tools/bench_hotpath.py divides
-# this by the operation count to get instrumentation sites per op.
+# Number of span entries while active; benchmarks/perf divides this by
+# the operation count to get instrumentation sites per op.
 _entries = 0
 
 

@@ -98,11 +98,6 @@ class RecordingTracer(Tracer):
         self.sink = sink
         self._seq = 0
 
-    @property
-    def events_emitted(self) -> int:
-        """Number of events emitted so far."""
-        return self._seq
-
     def emit(
         self,
         source: str,

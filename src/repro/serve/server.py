@@ -362,10 +362,6 @@ class Server:
         return self._version
 
     @property
-    def active_transactions(self) -> int:
-        return len(self._active)
-
-    @property
     def parked_commits(self) -> int:
         """Validated commits waiting for their group's sync."""
         return len(self._parked)

@@ -20,7 +20,7 @@ Modules
     The :class:`BlockStore` protocol every storage layer satisfies, so
     pools stack on devices, proxies, or other pools interchangeably.
 ``pager``
-    A buffer pool (LRU / Clock eviction) layered over any block store.
+    A buffer pool (LRU eviction) layered over any block store.
 ``hierarchy``
     A chained multi-level memory-hierarchy simulator (Figure 2
     substrate): each level's pool targets the level below it.
@@ -47,7 +47,7 @@ from repro.storage.layout import (
     VALUE_BYTES,
     records_per_block,
 )
-from repro.storage.pager import BufferPool, ClockPolicy, EvictionPolicy, LRUPolicy
+from repro.storage.pager import BufferPool, LRUPolicy
 
 __all__ = [
     "Block",
@@ -55,10 +55,8 @@ __all__ = [
     "BlockStore",
     "BufferPool",
     "CachedDevice",
-    "ClockPolicy",
     "CostModel",
     "DeviceCounters",
-    "EvictionPolicy",
     "EXCLUSIVE",
     "HierarchyLevel",
     "INCLUSIVE",

@@ -23,8 +23,8 @@ class Block:
     A ``__slots__`` class rather than a dataclass: devices hold one
     instance per allocated block and touch its attributes on every
     simulated I/O, so the slot layout (no per-instance ``__dict__``)
-    measurably shrinks and speeds the simulator hot path
-    (``tools/bench_hotpath.py`` records the effect).
+    measurably shrinks and speeds the simulator hot path (priced by
+    the ``storage.device.*`` metrics of ``benchmarks/perf``).
 
     Attributes
     ----------
@@ -34,8 +34,8 @@ class Block:
         The structure-specific contents.  ``None`` until first written.
     used_bytes:
         Logical bytes in use inside the block, declared by the owner on
-        each write.  Used for fill-factor statistics; space accounting
-        always charges the full block.
+        each write.  Summed into the device's ``used_bytes()``; space
+        accounting always charges the full block.
     kind:
         Free-form tag ("leaf", "run", "bucket", ...) used by statistics
         and debugging output.
@@ -54,12 +54,6 @@ class Block:
         self.payload = payload
         self.used_bytes = used_bytes
         self.kind = kind
-
-    def fill_factor(self, block_bytes: int) -> float:
-        """Fraction of the block's capacity that is logically in use."""
-        if block_bytes <= 0:
-            return 0.0
-        return min(1.0, self.used_bytes / block_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -13,12 +13,12 @@ the difference.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.obs.tracer import Tracer
 from repro.storage.block import BlockId
 from repro.storage.device import CostModel, DeviceCounters, IOStats, SimulatedDevice
-from repro.storage.pager import BufferPool, EvictionPolicy
+from repro.storage.pager import BufferPool
 
 
 class CachedDevice(SimulatedDevice):
@@ -30,8 +30,6 @@ class CachedDevice(SimulatedDevice):
         The slow device that owns the blocks.
     capacity_blocks:
         Pool capacity at the fast level; 0 degenerates to pass-through.
-    policy:
-        Eviction policy (default LRU).
 
     Notes
     -----
@@ -45,19 +43,14 @@ class CachedDevice(SimulatedDevice):
 
     __slots__ = ("backing", "pool")
 
-    def __init__(
-        self,
-        backing: SimulatedDevice,
-        capacity_blocks: int,
-        policy: Optional[EvictionPolicy] = None,
-    ) -> None:
+    def __init__(self, backing: SimulatedDevice, capacity_blocks: int) -> None:
         super().__init__(
             block_bytes=backing.block_bytes,
             cost_model=CostModel.dram(),
             name=f"cached({backing.name})",
         )
         self.backing = backing
-        self.pool = BufferPool(backing, capacity_blocks, policy)
+        self.pool = BufferPool(backing, capacity_blocks)
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach a tracer to this device, its pool and the backing device.
@@ -192,13 +185,6 @@ class CachedDevice(SimulatedDevice):
         for block_id, frame_used in self.pool.iter_dirty():
             total += frame_used - self.backing.used_bytes_of(block_id)
         return total
-
-    def fill_factor(self) -> float:
-        """Average logical occupancy (0..1), dirty frames included."""
-        allocated = self.backing.allocated_bytes
-        if not allocated:
-            return 0.0
-        return self.used_bytes() / allocated
 
     def blocks_by_kind(self):
         return self.backing.blocks_by_kind()

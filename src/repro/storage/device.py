@@ -21,8 +21,7 @@ speed: ``__slots__`` layouts, counters kept as plain integer attributes
 on the device (``counters`` materializes the same :class:`DeviceCounters`
 view on demand), per-cost-model floats cached at assignment, a
 sentinel-based sequential check and an O(1) running occupancy total.
-``tools/bench_hotpath.py`` measures the effect against a replica of the
-pre-optimization hot path.
+The ``storage.device.*`` metrics of ``benchmarks/perf`` price this path.
 """
 
 from __future__ import annotations
@@ -389,9 +388,9 @@ class SimulatedDevice:
     def write(self, block_id: BlockId, payload: object, used_bytes: int = 0) -> None:
         """Write a block's payload, charging one block of write I/O.
 
-        ``used_bytes`` declares the logical occupancy for fill-factor
-        statistics; the full block is charged regardless (minimum access
-        granularity).
+        ``used_bytes`` declares the logical occupancy summed by
+        :meth:`used_bytes`; the full block is charged regardless (minimum
+        access granularity).
         """
         try:
             block = self._blocks[block_id]
@@ -644,12 +643,6 @@ class SimulatedDevice:
         not scale with the dataset.
         """
         return self._used_total
-
-    def fill_factor(self) -> float:
-        """Average logical occupancy across allocated blocks (0..1)."""
-        if not self._blocks:
-            return 0.0
-        return self._used_total / self.allocated_bytes
 
     def blocks_by_kind(self) -> Dict[str, int]:
         """Histogram of allocated block counts keyed by their ``kind`` tag."""

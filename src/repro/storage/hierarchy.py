@@ -40,7 +40,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.obs.tracer import Tracer
 from repro.storage.block import BlockId
 from repro.storage.device import CostModel, DeviceCounters, SimulatedDevice
-from repro.storage.pager import BufferPool, EvictionPolicy, LRUPolicy
+from repro.storage.pager import BufferPool
 from repro.storage.store import BlockStore
 
 #: Write policies a level can adopt (see :class:`LevelSpec`).
@@ -123,11 +123,6 @@ class LevelCounters:
     def reads_served(self) -> int:
         """Read requests this level answered from its own frames."""
         return self.reads_in - self.reads_down
-
-    @property
-    def writes_served(self) -> int:
-        """Write requests absorbed into this level's frames."""
-        return self.writes_absorbed
 
     @property
     def reads_passed_down(self) -> int:
@@ -216,18 +211,12 @@ class HierarchyLevel:
     what makes misses, write-backs and flushes cascade level by level.
     """
 
-    def __init__(
-        self,
-        spec: LevelSpec,
-        below: BlockStore,
-        policy: Optional[EvictionPolicy] = None,
-    ) -> None:
+    def __init__(self, spec: LevelSpec, below: BlockStore) -> None:
         self.spec = spec
         self.below = below
         self.pool = BufferPool(
             below,
             spec.capacity_blocks,
-            policy or LRUPolicy(),
             write_through=spec.write_policy == WRITE_THROUGH,
             admit_on_read=spec.inclusion == INCLUSIVE,
         )
@@ -343,14 +332,13 @@ class MemoryHierarchy:
         self,
         backing: SimulatedDevice,
         levels: Sequence[LevelSpec],
-        policy_factory=LRUPolicy,
     ) -> None:
         self.backing = backing
         self.meter = _BackingMeter(backing)
         below: BlockStore = self.meter
         built: List[HierarchyLevel] = []
         for spec in reversed(list(levels)):
-            level = HierarchyLevel(spec, below, policy_factory())
+            level = HierarchyLevel(spec, below)
             built.append(level)
             below = level
         self.levels = list(reversed(built))
@@ -678,12 +666,6 @@ class HierarchicalDevice(SimulatedDevice):
                 corrected.add(block_id)
                 total += frame_used - self.backing.used_bytes_of(block_id)
         return total
-
-    def fill_factor(self) -> float:
-        allocated = self.backing.allocated_bytes
-        if not allocated:
-            return 0.0
-        return self.used_bytes() / allocated
 
     def blocks_by_kind(self):
         return self.backing.blocks_by_kind()

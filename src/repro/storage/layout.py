@@ -44,18 +44,6 @@ def records_per_block(block_bytes: int) -> int:
     return block_bytes // RECORD_BYTES
 
 
-def keys_per_block(block_bytes: int) -> int:
-    """Number of bare keys (no values) that fit in one block."""
-    if block_bytes < KEY_BYTES:
-        raise ValueError(f"block of {block_bytes} bytes cannot hold a {KEY_BYTES}-byte key")
-    return block_bytes // KEY_BYTES
-
-
-def pointers_per_block(block_bytes: int) -> int:
-    """Number of bare pointers that fit in one block."""
-    return block_bytes // POINTER_BYTES
-
-
 def fanout_for_block(block_bytes: int) -> int:
     """Maximum fanout of an internal tree node stored in one block.
 
@@ -65,14 +53,3 @@ def fanout_for_block(block_bytes: int) -> int:
     """
     fanout = (block_bytes + KEY_BYTES) // (KEY_BYTES + POINTER_BYTES)
     return max(2, fanout)
-
-
-def blocks_for_records(n_records: int, block_bytes: int) -> int:
-    """Number of blocks needed to store ``n_records`` densely packed."""
-    per_block = records_per_block(block_bytes)
-    return (n_records + per_block - 1) // per_block if n_records else 0
-
-
-def record_bytes(n_records: int) -> int:
-    """Logical size of ``n_records`` records in bytes."""
-    return n_records * RECORD_BYTES

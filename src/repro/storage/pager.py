@@ -35,16 +35,14 @@ Besides hit/miss statistics the pool counts its *outgoing* traffic
 hierarchy's conservation audit compares against the next level's
 incoming counts.
 
-Two classic eviction policies are provided (LRU and Clock); both are
-deterministic so experiments are reproducible.
+Eviction is least-recently-used (:class:`LRUPolicy`).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from repro.obs.spans import span, spanned
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -52,72 +50,30 @@ from repro.storage.block import BlockId
 from repro.storage.store import BlockStore
 
 
-class EvictionPolicy(ABC):
-    """Strategy deciding which cached block to evict when the pool is full."""
-
-    @abstractmethod
-    def on_access(self, block_id: BlockId) -> None:
-        """Record that ``block_id`` was read or written through the pool."""
-
-    @abstractmethod
-    def on_insert(self, block_id: BlockId) -> None:
-        """Record that ``block_id`` entered the pool."""
-
-    @abstractmethod
-    def on_remove(self, block_id: BlockId) -> None:
-        """Record that ``block_id`` left the pool."""
-
-    @abstractmethod
-    def choose_victim(self) -> BlockId:
-        """Pick the block to evict.  Pool guarantees it is non-empty."""
-
-
-class LRUPolicy(EvictionPolicy):
-    """Evict the least-recently-used block."""
+class LRUPolicy:
+    """Least-recently-used eviction order, deterministic so experiments
+    are reproducible."""
 
     def __init__(self) -> None:
         self._order: "OrderedDict[BlockId, None]" = OrderedDict()
 
     def on_access(self, block_id: BlockId) -> None:
+        """Record that ``block_id`` was read or written through the pool."""
         if block_id in self._order:
             self._order.move_to_end(block_id)
 
     def on_insert(self, block_id: BlockId) -> None:
+        """Record that ``block_id`` entered the pool."""
         self._order[block_id] = None
         self._order.move_to_end(block_id)
 
     def on_remove(self, block_id: BlockId) -> None:
+        """Record that ``block_id`` left the pool."""
         self._order.pop(block_id, None)
 
     def choose_victim(self) -> BlockId:
+        """The block to evict.  Pool guarantees it is non-empty."""
         return next(iter(self._order))
-
-
-class ClockPolicy(EvictionPolicy):
-    """Second-chance (clock) eviction: cheap approximation of LRU."""
-
-    def __init__(self) -> None:
-        self._referenced: "OrderedDict[BlockId, bool]" = OrderedDict()
-
-    def on_access(self, block_id: BlockId) -> None:
-        if block_id in self._referenced:
-            self._referenced[block_id] = True
-
-    def on_insert(self, block_id: BlockId) -> None:
-        self._referenced[block_id] = True
-
-    def on_remove(self, block_id: BlockId) -> None:
-        self._referenced.pop(block_id, None)
-
-    def choose_victim(self) -> BlockId:
-        while True:
-            block_id, referenced = next(iter(self._referenced.items()))
-            if referenced:
-                # Second chance: clear the bit and move to the back.
-                self._referenced[block_id] = False
-                self._referenced.move_to_end(block_id)
-            else:
-                return block_id
 
 
 @dataclass
@@ -180,8 +136,6 @@ class BufferPool:
         The store below — a device, a proxy, or another pool.
     capacity_blocks:
         Frame budget; 0 degenerates to pass-through.
-    policy:
-        Eviction policy (default LRU).
     write_through:
         When true, writes keep their frame clean and propagate down
         immediately instead of waiting for eviction/flush.
@@ -195,7 +149,6 @@ class BufferPool:
         self,
         device: BlockStore,
         capacity_blocks: int,
-        policy: Optional[EvictionPolicy] = None,
         *,
         write_through: bool = False,
         admit_on_read: bool = True,
@@ -204,7 +157,7 @@ class BufferPool:
             raise ValueError("capacity_blocks must be non-negative")
         self.device = device
         self.capacity_blocks = capacity_blocks
-        self.policy = policy if policy is not None else LRUPolicy()
+        self.policy = LRUPolicy()
         self.write_through = write_through
         self.admit_on_read = admit_on_read
         self.stats = PoolStats()

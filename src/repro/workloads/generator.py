@@ -69,7 +69,7 @@ class WorkloadGenerator:
     def operation_batches(self, size: int) -> Iterator[List[Operation]]:
         """The same stream as :meth:`operations`, in lists of ``size``.
 
-        The batched producer the batch-first measurement pipeline
+        The producer :func:`~repro.core.rum.measure_workload_batched`
         consumes: each yielded list holds ``size`` operations (the final
         one possibly fewer), totalling exactly ``spec.operations``.  The
         stream is byte-identical to :meth:`operations` — both are drawn

@@ -26,10 +26,6 @@ class OpKind(enum.Enum):
     def is_read(self) -> bool:
         return self in (OpKind.POINT_QUERY, OpKind.RANGE_QUERY)
 
-    @property
-    def is_write(self) -> bool:
-        return not self.is_read
-
 
 @dataclass(frozen=True)
 class Operation:

@@ -86,7 +86,6 @@ def test_zero_capacity_cache_is_io_equivalent_to_bare_device(ops):
     for block in bare_live:
         assert cached.peek(block) == bare.peek(block)
     assert cached.used_bytes() == bare.used_bytes()
-    assert cached.fill_factor() == bare.fill_factor()
     assert cached.allocated_blocks == bare.allocated_blocks
 
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.filters.bloom import BloomFilter, CountingBloomFilter
-from repro.filters.countmin import CountMinSketch
+from repro.filters.bloom import BloomFilter
 from repro.filters.quotient import QuotientFilter
 from repro.methods.bitmap import WAHBitVector
 
@@ -19,20 +18,6 @@ def test_bloom_never_false_negative(keys):
     for key in keys:
         bloom.add(key)
     assert all(bloom.may_contain(key) for key in keys)
-
-
-@settings(max_examples=50, deadline=None)
-@given(keys=st.lists(st.integers(min_value=0, max_value=2**60), max_size=100, unique=True))
-def test_counting_bloom_removal_consistency(keys):
-    bloom = CountingBloomFilter(max(1, len(keys)), 0.01)
-    for key in keys:
-        bloom.add(key)
-    removed = keys[: len(keys) // 2]
-    kept = keys[len(keys) // 2 :]
-    for key in removed:
-        bloom.remove(key)
-    # Kept keys must still test positive (no false negatives on live keys).
-    assert all(bloom.may_contain(key) for key in kept)
 
 
 @settings(max_examples=50, deadline=None)
@@ -59,22 +44,6 @@ def test_quotient_filter_remove_keeps_others(keys):
     for key in removed:
         qf.remove(key)
     assert all(qf.may_contain(key) for key in kept)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    counts=st.dictionaries(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=50),
-        max_size=100,
-    )
-)
-def test_countmin_never_undercounts(counts):
-    sketch = CountMinSketch(epsilon=0.01, delta=0.05)
-    for key, count in counts.items():
-        sketch.add(key, count)
-    for key, count in counts.items():
-        assert sketch.estimate(key) >= count
 
 
 @settings(max_examples=80, deadline=None)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.storage.device import SimulatedDevice
 from repro.storage.hierarchy import LevelSpec, MemoryHierarchy
-from repro.storage.pager import ClockPolicy, LRUPolicy
 
 N_BLOCKS = 12
 BLOCK_BYTES = 64
@@ -45,10 +44,8 @@ _levels = st.lists(
     max_size=3,
 )
 
-_policies = st.sampled_from([LRUPolicy, ClockPolicy])
 
-
-def _build(level_params, policy_factory):
+def _build(level_params):
     backing = SimulatedDevice(block_bytes=BLOCK_BYTES, name="backing")
     blocks = []
     for index in range(N_BLOCKS):
@@ -64,13 +61,13 @@ def _build(level_params, policy_factory):
         )
         for i, (capacity, write_policy, inclusion) in enumerate(level_params)
     ]
-    return backing, blocks, MemoryHierarchy(backing, specs, policy_factory)
+    return backing, blocks, MemoryHierarchy(backing, specs)
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=_ops, level_params=_levels, policy_factory=_policies)
-def test_chain_is_read_equivalent_and_conserving(ops, level_params, policy_factory):
-    backing, blocks, hierarchy = _build(level_params, policy_factory)
+@given(ops=_ops, level_params=_levels)
+def test_chain_is_read_equivalent_and_conserving(ops, level_params):
+    backing, blocks, hierarchy = _build(level_params)
     # The bare-device twin: same seeded content, no caching at all.
     twin = SimulatedDevice(block_bytes=BLOCK_BYTES, name="twin")
     twin_blocks = []

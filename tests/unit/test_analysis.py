@@ -1,23 +1,14 @@
-"""Unit tests for the analysis package: Table-1 models, shape fitting,
+"""Unit tests for the analysis package: Table-1 models, growth checks,
 triangle rendering and table formatting."""
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.analysis.complexity import TABLE1_MODELS, Table1Params, expected_winner
-from repro.analysis.fitting import (
-    best_fit,
-    fit_scores,
-    grows_at_least_linear,
-    grows_at_most_log,
-    growth_ratio,
-    is_flat,
-)
+from repro.analysis.complexity import TABLE1_MODELS, Table1Params
+from repro.analysis.fitting import growth_ratio, is_flat
 from repro.analysis.tables import format_table
-from repro.analysis.triangle import describe_point, render_triangle
+from repro.analysis.triangle import render_triangle
 from repro.core.rum import RUMProfile
 from repro.core.space import project
 
@@ -66,25 +57,23 @@ class TestTable1Models:
         assert min(indexed, key=indexed.get) == "zonemap"
 
     def test_paper_stated_winners(self):
+        # "Hash Indexes offer the fastest point queries, while B+-Trees
+        # offer the fastest range queries ... the update cost is best
+        # for Hash Indexes."
         params = Table1Params(N=1_000_000, m=100)
-        for operation, candidates in (
-            ("point_query", ("btree", "hash-index", "zonemap", "lsm")),
-            ("range_query", ("btree", "hash-index", "zonemap", "lsm")),
+        for operation, winner, candidates in (
+            ("point_query", "hash-index", ("btree", "hash-index", "zonemap", "lsm")),
+            ("range_query", "btree", ("btree", "hash-index", "zonemap", "lsm")),
             # For updates the paper crowns hash among in-place indexes;
             # the LSM's *amortized* formula dips below O(1) by design
             # ("LSM can support ... very low update cost as well").
-            ("update", ("btree", "hash-index", "zonemap")),
+            ("update", "hash-index", ("btree", "hash-index", "zonemap")),
         ):
-            winner = expected_winner(operation)
             indexed = {
                 name: getattr(TABLE1_MODELS[name], operation)(params)
                 for name in candidates
             }
             assert indexed[winner] == min(indexed.values()), operation
-
-    def test_unknown_winner_operation(self):
-        with pytest.raises(KeyError):
-            expected_winner("bulk_creation")
 
     def test_row_returns_all_costs(self):
         row = TABLE1_MODELS["btree"].row(Table1Params(N=10_000))
@@ -104,50 +93,12 @@ class TestTable1Models:
 
 
 class TestFitting:
-    def test_constant_series(self):
-        ns = [100, 1000, 10_000, 100_000]
-        assert best_fit(ns, [5, 5.1, 4.9, 5]) == "constant"
-
-    def test_log_series(self):
-        ns = [100, 1000, 10_000, 100_000]
-        assert best_fit(ns, [math.log(n) for n in ns]) == "log"
-
-    def test_linear_series(self):
-        ns = [100, 1000, 10_000, 100_000]
-        assert best_fit(ns, [3 * n for n in ns]) == "linear"
-
-    def test_nlogn_series(self):
-        ns = [100, 1000, 10_000, 100_000]
-        assert best_fit(ns, [n * math.log(n) for n in ns]) == "nlogn"
-
-    def test_sqrt_series(self):
-        ns = [100, 1000, 10_000, 100_000]
-        assert best_fit(ns, [math.sqrt(n) for n in ns]) == "sqrt"
-
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            best_fit([1, 2], [1, 2])
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            fit_scores([1, 2, 3], [1, 2])
-
     def test_growth_ratio(self):
         assert growth_ratio([10, 100], [2.0, 8.0]) == pytest.approx(4.0)
 
     def test_is_flat(self):
         assert is_flat([10, 100, 1000], [5, 5.5, 6])
         assert not is_flat([10, 100, 1000], [5, 50, 500])
-
-    def test_grows_at_most_log(self):
-        ns = [10, 100, 1000]
-        assert grows_at_most_log(ns, [math.log(n) for n in ns])
-        assert not grows_at_most_log(ns, [n for n in ns])
-
-    def test_grows_at_least_linear(self):
-        ns = [10, 100, 1000]
-        assert grows_at_least_linear(ns, [n * 2 for n in ns])
-        assert not grows_at_least_linear(ns, [math.log(n) for n in ns])
 
 
 class TestTriangleRendering:
@@ -176,11 +127,6 @@ class TestTriangleRendering:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             render_triangle(self._points(), width=5)
-
-    def test_describe_point(self):
-        point = project(RUMProfile(1.0, 2.0, 4.0, name="x"))
-        text = describe_point(point)
-        assert "x:" in text and "read-affinity" in text
 
 
 class TestTables:

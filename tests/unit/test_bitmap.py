@@ -151,8 +151,6 @@ class TestBitmapIndex:
         index.update(1, 3)
         # Deltas pending, lookups still correct.
         assert 0 in [k for k, _ in index.lookup_value(3)]
-        index.merge_all_deltas()
-        assert 0 in [k for k, _ in index.lookup_value(3)]
 
     def test_update_friendly_merges_at_threshold(self):
         index = self._index(update_friendly=True, delta_merge_bits=4)

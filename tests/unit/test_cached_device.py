@@ -143,16 +143,6 @@ class TestSpaceAccountingWithDirtyFrames:
         assert backing.used_bytes() == 100
         assert cached.used_bytes() == 40
 
-    def test_fill_factor_counts_dirty_frames(self, backing):
-        cached = CachedDevice(backing, capacity_blocks=4)
-        block = cached.allocate()
-        cached.write(block, "x", used_bytes=SMALL_BLOCK // 2)
-        assert cached.fill_factor() == pytest.approx(0.5)
-
-    def test_fill_factor_empty_device_is_zero(self, backing):
-        cached = CachedDevice(backing, capacity_blocks=4)
-        assert cached.fill_factor() == 0.0
-
 
 class TestTrafficSeparation:
     def test_hot_reads_never_reach_backing(self, backing):

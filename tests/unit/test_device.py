@@ -174,13 +174,11 @@ class TestSnapshots:
 
 
 class TestSpaceStats:
-    def test_fill_factor(self, device):
+    def test_used_bytes_tracks_declared_occupancy(self, device):
+        assert device.used_bytes() == 0
         block = device.allocate()
         device.write(block, "x", used_bytes=device.block_bytes // 2)
-        assert device.fill_factor() == pytest.approx(0.5)
-
-    def test_fill_factor_empty_device(self, device):
-        assert device.fill_factor() == 0.0
+        assert device.used_bytes() == device.block_bytes // 2
 
     def test_blocks_by_kind(self, device):
         device.allocate(kind="leaf")

@@ -113,7 +113,6 @@ class TestWriteMany:
         for block in range(8):
             assert batched.peek(block) == per_op.peek(block)
             assert batched.used_bytes_of(block) == per_op.used_bytes_of(block)
-        assert batched.fill_factor() == per_op.fill_factor()
 
     def test_duplicate_ids_last_write_wins(self):
         device = _fresh(4)

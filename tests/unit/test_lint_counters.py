@@ -171,15 +171,11 @@ def test_lint_flags_per_op_bookkeeping_in_batched_loops():
     lint_counters = _lint_counters()
     bad = textwrap.dedent(
         """
-        def get_many(self, keys):
-            out = []
-            for key in keys:
-                before = self.device.snapshot()      # per-op snapshot
-                out.append(self.get(key))
-                self.device.stats_since(before)      # per-op delta
-            return out
-
         def apply_batch(self, operations):
+            for operation in operations:
+                before = self.device.snapshot()      # per-op snapshot
+                self.run(operation)
+                self.device.stats_since(before)      # per-op delta
             while operations:
                 operations.pop()
                 total = self.device.counters          # derived property
@@ -199,11 +195,11 @@ def test_lint_batch_rule_ignores_hoisted_and_per_op_functions():
     lint_counters = _lint_counters()
     fine = textwrap.dedent(
         """
-        def get_many(self, keys):
+        def apply_batch(self, operations):
             before = self.device.snapshot()          # hoisted: per batch
-            out = [self.get(key) for key in keys]
+            for operation in operations:
+                self.run(operation)
             self.device.stats_since(before)
-            return out
 
         def measure(self, operations):
             for operation in operations:             # not a batched entry

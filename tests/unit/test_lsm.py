@@ -134,7 +134,6 @@ class TestBloomFilters:
             lsm.flush()
             spaces[bits] = lsm.space_bytes()
         assert spaces[10] > spaces[0]
-        assert small_lsm(bloom_bits_per_key=0).bloom_space_bytes() == 0
 
     def test_no_false_negatives_through_filters(self):
         lsm = small_lsm(memtable_records=8, bloom_bits_per_key=6)

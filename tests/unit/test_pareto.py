@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.pareto import (
-    dominated_by,
-    frontier_span,
-    pareto_frontier,
-    sacrifice,
-)
+from repro.analysis.pareto import frontier_span, pareto_frontier
 from repro.core.rum import RUMProfile
 
 
@@ -31,31 +24,9 @@ class TestFrontier:
     def test_dominated_profile_excluded(self):
         assert "loser" not in pareto_frontier(profiles())
 
-    def test_dominated_by(self):
-        dominators = dominated_by(profiles(), "loser")
-        assert "reader" in dominators and "balanced" in dominators
-
-    def test_dominated_by_unknown_name(self):
-        with pytest.raises(KeyError):
-            dominated_by(profiles(), "ghost")
-
-    def test_nobody_dominates_a_specialist(self):
-        assert dominated_by(profiles(), "reader") == []
-
     def test_empty_input(self):
         assert pareto_frontier({}) == []
         assert frontier_span({}) == {}
-
-
-class TestSacrifice:
-    def test_identifies_largest_overhead(self):
-        axis, value = sacrifice(RUMProfile(1.0, 50.0, 20.0))
-        assert axis == "update"
-        assert value == 50.0
-
-    def test_memory_sacrifice(self):
-        axis, _ = sacrifice(RUMProfile(2.0, 2.0, 99.0))
-        assert axis == "memory"
 
 
 class TestSpan:

@@ -8,13 +8,12 @@ import pytest
 
 from repro.core.rum import RUMProfile
 from repro.core.space import (
+    CORNER_POSITIONS,
     CORNER_READ,
     CORNER_SPACE,
     CORNER_WRITE,
     barycentric_weights,
-    corner_affinity,
     goodness,
-    nearest_corner,
     project,
 )
 
@@ -38,19 +37,19 @@ class TestGoodness:
 
 
 class TestProjection:
-    def test_read_optimal_lands_on_read_corner(self):
-        profile = RUMProfile(1.0, 1e12, 1e12)
-        assert nearest_corner(profile) == CORNER_READ
+    @staticmethod
+    def _assert_on_corner(profile, corner):
         point = project(profile)
-        assert point.distance_to(CORNER_READ) < 0.01
+        assert (point.x, point.y) == pytest.approx(CORNER_POSITIONS[corner], abs=0.01)
+
+    def test_read_optimal_lands_on_read_corner(self):
+        self._assert_on_corner(RUMProfile(1.0, 1e12, 1e12), CORNER_READ)
 
     def test_write_optimal_lands_on_write_corner(self):
-        profile = RUMProfile(1e12, 1.0, 1e12)
-        assert nearest_corner(profile) == CORNER_WRITE
+        self._assert_on_corner(RUMProfile(1e12, 1.0, 1e12), CORNER_WRITE)
 
     def test_space_optimal_lands_on_space_corner(self):
-        profile = RUMProfile(1e12, 1e12, 1.0)
-        assert nearest_corner(profile) == CORNER_SPACE
+        self._assert_on_corner(RUMProfile(1e12, 1e12, 1.0), CORNER_SPACE)
 
     def test_balanced_profile_lands_in_center(self):
         profile = RUMProfile(2.0, 2.0, 2.0)
@@ -82,11 +81,7 @@ class TestProjection:
 
 
 class TestAffinity:
-    def test_affinity_keys(self):
-        affinity = corner_affinity(RUMProfile(1.0, 2.0, 4.0))
-        assert set(affinity) == {CORNER_READ, CORNER_WRITE, CORNER_SPACE}
-
     def test_read_heavy_affinity_ordering(self):
-        affinity = corner_affinity(RUMProfile(1.0, 4.0, 4.0))
-        assert affinity[CORNER_READ] > affinity[CORNER_WRITE]
-        assert affinity[CORNER_READ] > affinity[CORNER_SPACE]
+        w_read, w_write, w_space = barycentric_weights(RUMProfile(1.0, 4.0, 4.0))
+        assert w_read > w_write
+        assert w_read > w_space

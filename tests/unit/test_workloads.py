@@ -49,9 +49,9 @@ class TestSpecValidation:
     def test_operation_kind_flags(self):
         assert OpKind.POINT_QUERY.is_read
         assert OpKind.RANGE_QUERY.is_read
-        assert OpKind.INSERT.is_write
-        assert OpKind.UPDATE.is_write
-        assert OpKind.DELETE.is_write
+        assert not OpKind.INSERT.is_read
+        assert not OpKind.UPDATE.is_read
+        assert not OpKind.DELETE.is_read
 
     def test_invalid_range_operation(self):
         with pytest.raises(ValueError):

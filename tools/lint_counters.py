@@ -28,11 +28,11 @@ substrate.  This checker walks the AST of every module under
   (:func:`repro.obs.tracer.emit_audit_events`,
   :func:`repro.obs.tracer.emit_fault_event`);
 * any per-op device bookkeeping (``snapshot``, ``stats_since``, the
-  derived ``counters`` property) inside a loop of a batched entry point
-  (``*_many`` / ``apply_batch``) outside ``repro/storage`` — the one
-  measurement loop (``repro.core.rum``) brackets a whole window with one
-  snapshot pair, so a function that executes a window must not take
-  another per operation inside it;
+  derived ``counters`` property) inside a loop of ``apply_batch``
+  outside ``repro/storage`` — the one measurement loop
+  (``repro.core.rum``) brackets a whole window with one snapshot pair,
+  so the function that executes a window must not take another per
+  operation inside it;
 * any direct device mutation (``write``, ``write_many``, ``allocate``,
   ``free``) inside ``repro/serve`` outside ``wal.py`` — the serving
   tier's durability story depends on every durable byte flowing through
@@ -120,15 +120,13 @@ ALLOWED_SUBPACKAGE = os.path.join("repro", "storage")
 #: counter *window*, never to the function executing the window: a
 #: ``snapshot``/``stats_since`` pair or a ``counters`` materialization
 #: inside the loop of ``apply_batch`` (the loop's one operation
-#: dispatch) or of a ``*_many`` function (``FaultyDevice.read_many`` /
-#: ``write_many``) would pay per operation what the window pays once
+#: dispatch) would pay per operation what the window pays once
 #: (``counters`` is a derived property on the device — every touch
 #: builds a fresh object).
 PER_OP_BOOKKEEPING = {"snapshot", "stats_since", "counters"}
 
 #: Function names treated as batched entry points for the rule above.
 BATCH_FUNCTION_NAMES = {"apply_batch"}
-BATCH_FUNCTION_SUFFIX = "_many"
 
 #: Subtrees whose modules may call ``Tracer.emit`` directly: the
 #: observability layer itself and the storage substrate's emission
@@ -356,19 +354,15 @@ def _batch_loop_bookkeeping(tree: ast.AST, path: str) -> List[Violation]:
 
     Flags any ``snapshot`` / ``stats_since`` / ``counters`` attribute
     reached inside a ``for``/``while`` loop of a function named
-    ``*_many`` or ``apply_batch``; such bookkeeping is the measurement
-    loop's, once around the whole call, never per iteration inside it.
+    ``apply_batch``; such bookkeeping is the measurement loop's, once
+    around the whole call, never per iteration inside it.
     """
     found: List[Violation] = []
     seen = set()
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        name = func.name
-        if not (
-            name.endswith(BATCH_FUNCTION_SUFFIX)
-            or name in BATCH_FUNCTION_NAMES
-        ):
+        if func.name not in BATCH_FUNCTION_NAMES:
             continue
         for loop in ast.walk(func):
             if not isinstance(loop, (ast.For, ast.While)):
