@@ -5,14 +5,18 @@ membership with no false negatives and a tunable false-positive rate, in
 a bitmap a fraction of the size of the keys it summarizes.  The LSM tree
 attaches one per run; the approximate index attaches one per partition.
 
-Hashing uses Python's SipHash via :func:`hash` salted per hash function,
-with an explicit seed mix so filters are deterministic across runs.
+Hashing is splitmix64 (:func:`_mix`) under two fixed salts, combined by
+Kirsch-Mitzenmacher double hashing: position ``i`` of a key is
+``(h1 + i*h2) mod m``.  The filter computes it incrementally — ``h1 mod
+m``, then ``i`` steps of ``h2 mod m`` with one conditional subtraction
+each — in one kernel that inserts and probes alike, so bitmaps are
+deterministic across processes and identical to the textbook formula.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import Iterable
 
 
 def optimal_bits(n_items: int, false_positive_rate: float) -> int:
@@ -44,7 +48,8 @@ def _mix(key: int, salt: int) -> int:
 
     A splitmix64 round — deterministic across processes (unlike
     ``hash()``, which is randomized for strings but is fine for ints;
-    we avoid the builtin anyway for full control).
+    we avoid the builtin anyway for full control).  The filter kernel
+    inlines it; this function is the reference it is tested against.
     """
     z = (key + 0x9E3779B97F4A7C15 * (salt + 1)) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
@@ -77,21 +82,15 @@ class BloomFilter:
     # ------------------------------------------------------------------
     def add(self, key: int) -> None:
         """Insert a key's bit positions."""
-        for position in self._positions(key):
-            self._array[position >> 3] |= 1 << (position & 7)
-        self._items += 1
+        self._hash_keys((key,), True)
 
     def may_contain(self, key: int) -> bool:
         """False means definitely absent; True means probably present."""
-        return all(
-            self._array[position >> 3] & (1 << (position & 7))
-            for position in self._positions(key)
-        )
+        return self._hash_keys((key,), False)
 
     def add_all(self, keys: Iterable[int]) -> None:
         """Insert every key in ``keys``."""
-        for key in keys:
-            self.add(key)
+        self._hash_keys(keys, True)
 
     # ------------------------------------------------------------------
     @property
@@ -103,8 +102,51 @@ class BloomFilter:
     def items(self) -> int:
         return self._items
 
-    def _positions(self, key: int) -> List[int]:
-        # Kirsch-Mitzenmacher double hashing: h1 + i*h2 mod m.
-        h1 = _mix(key, 0x51ED)
-        h2 = _mix(key, 0xC0FFEE) | 1
-        return [(h1 + i * h2) % self.bits for i in range(self.hash_count)]
+    def _hash_keys(self, keys: Iterable[int], insert: bool) -> bool:
+        """The one hash-and-probe body behind ``add``, ``add_all`` and
+        ``may_contain``.
+
+        Inlines :func:`_mix` for both salts: ``h1 = _mix(key, 0x51ED)``,
+        ``h2 = _mix(key, 0xC0FFEE) | 1``.  Position ``i`` is ``(h1 +
+        i*h2) mod m``, stepped as ``p += h2 mod m`` with one conditional
+        subtraction.  Inserting sets every position of every key.
+        Probing returns False at the first clear bit, hashing ``h2`` only
+        once the first position is set.
+        """
+        array = self._array
+        bits = self.bits
+        steps = range(self.hash_count - 1)
+        mask = 0xFFFFFFFFFFFFFFFF
+        seed1 = 0x9E3779B97F4A7C15 * (0x51ED + 1)
+        seed2 = 0x9E3779B97F4A7C15 * (0xC0FFEE + 1)
+        mul1 = 0xBF58476D1CE4E5B9
+        mul2 = 0x94D049BB133111EB
+        inserted = 0
+        for key in keys:
+            z = (key + seed1) & mask
+            z = ((z ^ (z >> 30)) * mul1) & mask
+            z = ((z ^ (z >> 27)) * mul2) & mask
+            position = (z ^ (z >> 31)) % bits
+            if not insert and not array[position >> 3] & (1 << (position & 7)):
+                return False
+            z = (key + seed2) & mask
+            z = ((z ^ (z >> 30)) * mul1) & mask
+            z = ((z ^ (z >> 27)) * mul2) & mask
+            step = ((z ^ (z >> 31)) | 1) % bits
+            if insert:
+                array[position >> 3] |= 1 << (position & 7)
+                for _ in steps:
+                    position += step
+                    if position >= bits:
+                        position -= bits
+                    array[position >> 3] |= 1 << (position & 7)
+                inserted += 1
+            else:
+                for _ in steps:
+                    position += step
+                    if position >= bits:
+                        position -= bits
+                    if not array[position >> 3] & (1 << (position & 7)):
+                        return False
+        self._items += inserted
+        return True

@@ -235,8 +235,7 @@ class IndexedLog(AccessMethod):
         if self.bloom_bits_per_key > 0:
             fpr = max(1e-6, 0.6185 ** self.bloom_bits_per_key)
             bloom = BloomFilter(max(1, len(records)), fpr)
-            for key, _ in records:
-                bloom.add(key)
+            bloom.add_all(key for key, _ in records)
             bloom_block = self.device.allocate(kind="log-bloom")
             self.device.write(
                 bloom_block,

@@ -313,8 +313,7 @@ class LSMTree(AccessMethod):
         if self.bloom_bits_per_key > 0:
             fpr = max(1e-6, 0.6185 ** self.bloom_bits_per_key)  # (1/2^ln2)^bits
             bloom = BloomFilter(max(1, len(records)), fpr)
-            for key, _ in records:
-                bloom.add(key)
+            bloom.add_all(key for key, _ in records)
             n_bloom_blocks = max(
                 1, -(-bloom.size_bytes // self.device.block_bytes)
             )
@@ -537,9 +536,9 @@ class LSMTree(AccessMethod):
         position = max(0, position)
         data_index = fence_index * self._fences_per_block + position
         records = self.device.read(run.data_blocks[data_index])
-        keys = [record_key for record_key, _ in records]
-        index = bisect.bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
+        # ``(key,)`` sorts before ``(key, value)``: values never compare.
+        index = bisect.bisect_left(records, (key,))
+        if index < len(records) and records[index][0] == key:
             return True, records[index][1]
         return False, None
 

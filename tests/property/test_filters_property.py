@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.filters.bloom import BloomFilter
+from repro.filters.bloom import BloomFilter, _mix
 from repro.filters.quotient import QuotientFilter
 from repro.methods.bitmap import WAHBitVector
 
@@ -18,6 +18,52 @@ def test_bloom_never_false_negative(keys):
     for key in keys:
         bloom.add(key)
     assert all(bloom.may_contain(key) for key in keys)
+
+
+def _reference_positions(key, bloom):
+    """The textbook Kirsch-Mitzenmacher positions, one big-int product each."""
+    h1 = _mix(key, 0x51ED)
+    h2 = _mix(key, 0xC0FFEE) | 1
+    return [(h1 + i * h2) % bloom.bits for i in range(bloom.hash_count)]
+
+
+#: Negative keys and keys past 64 bits both reach the hash's masking.
+_any_int = st.integers(min_value=-(2**70), max_value=2**70) | st.integers(
+    min_value=2**64, max_value=2**80
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.lists(_any_int, max_size=150),
+    probes=st.lists(_any_int, max_size=150),
+    expected_items=st.integers(min_value=1, max_value=300),
+    false_positive_rate=st.floats(
+        min_value=1e-6, max_value=0.9, exclude_min=True, exclude_max=True
+    ),
+)
+@example(  # hash_count == 1: no step is taken
+    keys=[-1, 2**64 + 3], probes=[0, 2**64], expected_items=100,
+    false_positive_rate=0.8,
+)
+def test_bloom_kernel_matches_reference(
+    keys, probes, expected_items, false_positive_rate
+):
+    """The incremental kernel sets and tests exactly the reference bits."""
+    bloom = BloomFilter(expected_items, false_positive_rate)
+    bloom.add_all(keys)
+    reference = bytearray(len(bloom._array))
+    for key in keys:
+        for position in _reference_positions(key, bloom):
+            reference[position >> 3] |= 1 << (position & 7)
+    assert bloom._array == reference
+    assert bloom.items == len(keys)
+    for key in keys + probes:
+        expected = all(
+            reference[position >> 3] & (1 << (position & 7))
+            for position in _reference_positions(key, bloom)
+        )
+        assert bloom.may_contain(key) == expected
 
 
 @settings(max_examples=50, deadline=None)

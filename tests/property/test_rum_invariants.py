@@ -11,10 +11,10 @@ coalescing-aware floor, not blindly by 1.0).
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.registry import create_method
-from repro.core.rum import measure_workload
+from repro.core.rum import RUMAccumulator, measure_workload
 from repro.core.space import barycentric_weights, project
 from repro.core.rum import RUMProfile
 from repro.storage.device import SimulatedDevice
@@ -32,6 +32,7 @@ _MEASURED = ["btree", "hash-index", "zonemap", "lsm", "sorted-column", "unsorted
     reads=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=100),
 )
+@example(reads=0.0078125, seed=27)  # lsm: its one read is a memtable hit
 def test_measured_overheads_respect_floors(name, reads, seed):
     writes = 1.0 - reads
     spec = WorkloadSpec(
@@ -47,10 +48,19 @@ def test_measured_overheads_respect_floors(name, reads, seed):
     method = create_method(name, device=SimulatedDevice(block_bytes=SMALL_BLOCK))
     generator = WorkloadGenerator(spec)
     method.bulk_load(generator.initial_data())
-    profile = measure_workload(method, generator.operations())
-    # Block granularity means a read always moves at least the data it
-    # wanted; space always covers the base data.
-    assert profile.read_overhead >= 1.0 - 1e-9
+    accumulator = RUMAccumulator()
+    profile = measure_workload(
+        method, generator.operations(), accumulator=accumulator
+    )
+    # Block granularity means a read that touches a block moves at least
+    # the data it wanted; space always covers the base data.  Reads
+    # served from memory cost no I/O: an LSM whose reads all hit the
+    # memtable reports RO = 0.
+    if accumulator.read_ops > 0 and accumulator.read_bytes == 0:
+        assert name == "lsm"
+        assert profile.read_overhead == 0.0
+    else:
+        assert profile.read_overhead >= 1.0 - 1e-9
     assert profile.memory_overhead >= 1.0 - 1e-9
     assert profile.update_overhead >= 0.0
     assert profile.simulated_time >= 0.0

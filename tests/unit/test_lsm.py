@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.core.rum import measure_workload
 from repro.methods.lsm import LSMTree
 from repro.storage.device import SimulatedDevice
+from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.spec import MIXES
 
 from tests.conftest import SMALL_BLOCK, sample_records
 
@@ -142,6 +148,63 @@ class TestBloomFilters:
             lsm.insert(key, value)
         for key, value in records:
             assert lsm.get(key) == value
+
+
+class TestPinnedFilterBitmaps:
+    def test_write_heavy_run_bitmaps_are_pinned(self):
+        # The write-heavy mix at a twentieth of the benchmark's size
+        # (5 k records, 1.25 k ops, seed 7, 4 KiB blocks).  The digest
+        # covers every live run's filter bitmap; any change to how keys
+        # hash into a filter changes it.
+        spec = dataclasses.replace(
+            MIXES["write-heavy"], initial_records=5000, operations=1250, seed=7
+        )
+        lsm = LSMTree(SimulatedDevice(block_bytes=4096))
+        generator = WorkloadGenerator(spec)
+        lsm.bulk_load(generator.initial_data())
+        measure_workload(lsm, generator.operations())
+        digest = hashlib.sha256()
+        for level_runs in lsm._levels:
+            for run in level_runs:
+                digest.update(bytes(run.bloom._array))
+        assert lsm.runs_per_level() == [1, 0, 1]
+        assert digest.hexdigest() == (
+            "265747a8e94294dcadd8004970db59731c775d785fd21370da7e3d3a625f74bc"
+        )
+
+
+class TestRunPointReads:
+    """``get`` served from runs alone: the in-block search."""
+
+    @pytest.mark.parametrize("bits", [0, 10])
+    def test_run_only_gets(self, bits):
+        lsm = small_lsm(bloom_bits_per_key=bits)
+        # Even keys 0..126: 16 records per block, so blocks start at
+        # 0, 32, 64, 96 and end at 30, 62, 94, 126.
+        lsm.bulk_load([(key, key * 10) for key in range(0, 128, 2)])
+        lsm.update(40, 1)
+        lsm.delete(42)
+        lsm.update(44, 2)
+        lsm.flush()  # level 0 now holds 40, the 42 tombstone, 44
+        expected = {
+            40: 1,  # hit in the newer run
+            42: None,  # tombstoned in the newer run, live in the older
+            44: 2,
+            31: None,  # absent, between the first two blocks
+            0: 0,  # first key of the first block
+            30: 300,  # last key of the first block
+            32: 320,  # first key of the second block
+            62: 620,  # last key of the second block
+            126: 1260,  # last key of the run
+            46: 460,  # hit in the older run only
+            -1: None,  # below every run
+            127: None,  # above every run
+        }
+        for key, value in expected.items():
+            assert lsm.get(key) == value, key
+        before = lsm.device.snapshot()
+        lsm.get(62)
+        assert lsm.device.stats_since(before).reads > 0  # not the memtable
 
 
 class TestTombstones:
