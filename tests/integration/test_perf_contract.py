@@ -9,6 +9,12 @@ declared workload at smoke size (sizes / 20, no timed repetitions): the
 end-to-end run for all of them and the traced per-layer run for the
 library workloads, and requires the contract's result line to report
 correct outputs with no failed operation.
+
+The untraced smoke runs also pin the simulated outputs: each workload's
+``sim_ro`` / ``sim_uo`` / ``sim_mo`` / ``sim_time`` must equal, as a
+float, the value recorded in ``perf_sim_smoke.json``.  Those numbers are
+the reproduction's product, so a change that moves one is wrong unless
+it updates the pin on purpose.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _handle:
     _CONTRACT = json.load(_handle)
 WORKLOADS = [workload["name"] for workload in _CONTRACT["workloads"]]
+with open(os.path.join(os.path.dirname(__file__), "perf_sim_smoke.json")) as _handle:
+    SIM_PIN = json.load(_handle)
 RUNS = [(name, 0) for name in WORKLOADS] + [
     (name, 1) for name in WORKLOADS if name.startswith("lib-")
 ]
@@ -46,3 +54,9 @@ def test_benchmark_command_runs_correct(workload, trace):
     assert result["attempted"] > 0
     declared = _CONTRACT["per_layer" if trace else "end_to_end"]
     assert {metric["name"] for metric in declared} <= set(result["metrics"])
+    if not trace:
+        for metric, pinned in sorted(SIM_PIN[workload].items()):
+            got = result["metrics"][metric]["value"]
+            assert got == pinned, (
+                f"{workload} {metric}: pinned {pinned!r}, got {got!r}"
+            )
