@@ -24,7 +24,7 @@ import pytest
 
 from repro.analysis.tables import format_table
 from repro.storage.device import CostModel, SimulatedDevice
-from repro.storage.hierarchy import LevelSpec, MemoryHierarchy
+from repro.storage.hierarchy import HierarchicalDevice, LevelSpec, MemoryHierarchy
 
 from benchmarks.harness import BENCH_BLOCK, attach_tracer, emit_report, mark
 
@@ -222,22 +222,21 @@ class TestThreeLevelConservation:
 def _btree_over_cache() -> list:
     """The same sweep with a *real access method* over the cache.
 
-    A B+-Tree runs unchanged on a CachedDevice; its hot root/internal
-    blocks stick in the fast level, so the traffic reaching the backing
-    device falls as the cache grows — Figure 2 with an actual structure
-    rather than raw block traffic.
+    A B+-Tree runs unchanged on a one-level hierarchy mounted as a
+    device; its hot root/internal blocks stick in the fast level, so the
+    traffic reaching the backing device falls as the cache grows —
+    Figure 2 with an actual structure rather than raw block traffic.
     """
-    import random
-
     from repro.methods.btree import BPlusTree
-    from repro.storage.cached import CachedDevice
 
     rows = []
     rng = random.Random(79)
     keys = [2 * min(int(rng.expovariate(1.0 / 300)), 3999) for _ in range(2000)]
     for capacity in (0, 8, 32, 128):
         backing = attach_tracer(SimulatedDevice(block_bytes=BENCH_BLOCK, name="flash"))
-        cached = CachedDevice(backing, capacity_blocks=capacity)
+        cached = HierarchicalDevice(
+            MemoryHierarchy(backing, [LevelSpec("L0", capacity)])
+        )
         tree = BPlusTree(device=cached)
         tree.bulk_load([(2 * i, i) for i in range(4000)])
         cached.flush()

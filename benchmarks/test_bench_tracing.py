@@ -3,7 +3,7 @@
 The observability layer's contract (ISSUE 1) is that the trace hooks in
 :class:`~repro.storage.device.SimulatedDevice`,
 :class:`~repro.storage.pager.BufferPool` and
-:class:`~repro.storage.cached.CachedDevice` may not perturb the numbers
+:class:`~repro.storage.hierarchy.HierarchicalDevice` may not perturb the numbers
 the paper reproduction rests on:
 
 * with tracing disabled the hot path performs *no tracer work at all* —
@@ -22,8 +22,8 @@ import time
 from repro.analysis.tables import format_table
 from repro.obs.sinks import ListSink
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
-from repro.storage.cached import CachedDevice
 from repro.storage.device import SimulatedDevice
+from repro.storage.hierarchy import HierarchicalDevice, LevelSpec, MemoryHierarchy
 from repro.workloads.spec import WorkloadSpec
 
 from benchmarks.harness import BENCH_BLOCK, build_method, emit_report, mark
@@ -51,6 +51,11 @@ class _ExplodingTracer(Tracer):
         raise AssertionError("emit() called with tracing disabled")
 
 
+def _one_level(backing: SimulatedDevice, capacity: int) -> HierarchicalDevice:
+    """A buffer pool of ``capacity`` blocks mounted in front of ``backing``."""
+    return HierarchicalDevice(MemoryHierarchy(backing, [LevelSpec("L0", capacity)]))
+
+
 def _timed_reads(device: SimulatedDevice, block, n: int) -> float:
     best = float("inf")
     for _ in range(3):
@@ -64,7 +69,7 @@ def _timed_reads(device: SimulatedDevice, block, n: int) -> float:
 def test_disabled_tracing_never_touches_the_tracer(benchmark):
     device = SimulatedDevice(block_bytes=BENCH_BLOCK)
     device.set_tracer(_ExplodingTracer())
-    cached = CachedDevice(SimulatedDevice(block_bytes=BENCH_BLOCK), capacity_blocks=2)
+    cached = _one_level(SimulatedDevice(block_bytes=BENCH_BLOCK), 2)
     cached.set_tracer(_ExplodingTracer())
     for target in (device, cached):
         blocks = [target.allocate() for _ in range(4)]
@@ -122,16 +127,17 @@ def test_disabled_guard_costs_nothing(benchmark):
 def test_trace_stream_includes_pool_events(benchmark):
     sink = ListSink()
     backing = SimulatedDevice(block_bytes=BENCH_BLOCK, name="flash")
-    cached = CachedDevice(backing, capacity_blocks=2)
+    cached = _one_level(backing, 2)
     cached.set_tracer(RecordingTracer(sink))
-    blocks = [cached.allocate() for _ in range(4)]
+    # Log blocks ride write-back, so the overflow evicts dirty frames.
+    blocks = [cached.allocate(kind="wal") for _ in range(4)]
     for i, block in enumerate(blocks):
         cached.write(block, i, used_bytes=8)  # overflows the 2-frame pool
     cached.flush()
     ops = {event.op for event in sink.events}
     assert {"alloc", "write", "evict", "write_back"} <= ops
     sources = {event.source for event in sink.events}
-    assert {"cached(flash)", "pool(flash)", "flash"} <= sources
+    assert {"hier(flash)", "pool(L0)", "flash"} <= sources
     seqs = [event.seq for event in sink.events]
     assert seqs == sorted(seqs) == list(range(len(seqs)))
     mark(benchmark)

@@ -2,7 +2,7 @@
 
 :class:`FaultyDevice` interposes on the read/write path of a backing
 :class:`~repro.storage.device.SimulatedDevice` (the same wrapper pattern
-as :class:`~repro.storage.cached.CachedDevice`) and raises
+as :class:`~repro.storage.hierarchy.HierarchicalDevice`) and raises
 :class:`DeviceFault` according to a seeded, immutable :class:`FaultPlan`:
 
 * fail the Nth eligible read or write (1-based, counted per device),

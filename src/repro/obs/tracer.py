@@ -2,7 +2,7 @@
 
 Every instrumented component (:class:`~repro.storage.device.SimulatedDevice`,
 :class:`~repro.storage.pager.BufferPool`,
-:class:`~repro.storage.cached.CachedDevice`) holds a :class:`Tracer` and
+:class:`~repro.storage.hierarchy.HierarchicalDevice`) holds a :class:`Tracer` and
 guards each emission site with ``tracer.enabled``.  The base tracer is
 the shared no-op :data:`NULL_TRACER` (``enabled`` is ``False``), so with
 tracing off the hot path pays exactly one attribute check — no event

@@ -23,11 +23,11 @@ Modules
     A buffer pool (LRU eviction) layered over any block store.
 ``hierarchy``
     A chained multi-level memory-hierarchy simulator (Figure 2
-    substrate): each level's pool targets the level below it.
+    substrate): each level's pool targets the level below it, and
+    ``HierarchicalDevice`` mounts it as a device any method runs on.
 """
 
 from repro.storage.block import Block, BlockId
-from repro.storage.cached import CachedDevice
 from repro.storage.device import CostModel, DeviceCounters, IOStats, SimulatedDevice
 from repro.storage.hierarchy import (
     EXCLUSIVE,
@@ -54,7 +54,6 @@ __all__ = [
     "BlockId",
     "BlockStore",
     "BufferPool",
-    "CachedDevice",
     "CostModel",
     "DeviceCounters",
     "EXCLUSIVE",

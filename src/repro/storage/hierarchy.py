@@ -505,25 +505,25 @@ class MemoryHierarchy:
 class HierarchicalDevice(SimulatedDevice):
     """The whole chained hierarchy masquerading as one device.
 
-    The mount point of the serving tier's hierarchy mode: an access
-    method (and its :class:`~repro.serve.wal.WriteAheadLog`) is built
-    over this facade unchanged, and every read and write flows through
-    the chain — level hits, cascaded misses, write-back absorption —
-    while allocation and the block catalog stay on the backing device.
-    The pattern mirrors :class:`~repro.storage.cached.CachedDevice`,
-    with a :class:`MemoryHierarchy` in place of the single pool.
+    The one caching facade: an access method (and its
+    :class:`~repro.serve.wal.WriteAheadLog`) is built over it unchanged,
+    and every read and write flows through the chain — level hits,
+    cascaded misses, write-back absorption — while allocation and the
+    block catalog stay on the backing device.  One buffer pool in front
+    of a device is the one-level case, ``[LevelSpec("L0", capacity)]``.
 
-    Durability is kind-aware.  Writes to blocks whose kind is in
-    ``write_back_kinds`` (by default the WAL's ``"wal"`` blocks — the
-    one stream whose protocol already separates *written* from
-    *synced*) are absorbed by the top level's pool and reach the
-    backing device only when :meth:`sync_through` forces them down, the
-    modeled fsync.  Every other write is forced through immediately
-    after landing in the caches: the serving tier's redo log is
-    *logical*, so recovery needs the structure's durable image to be
-    consistent — this is a force-policy buffer manager for data pages,
-    while the log rides write-back and pays one ``sync_through`` per
-    group commit.  Reads of both kinds are cached normally.
+    ``write_back_kinds`` chooses, per block kind, between write-back
+    and force.  Writes to blocks whose kind is in it (by default the
+    WAL's ``"wal"`` blocks — the one stream whose protocol already
+    separates *written* from *synced*) are absorbed by the top level's
+    pool and reach the backing device on eviction, on :meth:`flush`, or
+    when :meth:`sync_through` (the modeled fsync) forces them down.
+    Every other write is forced through immediately after landing in
+    the caches: the serving tier's redo log is *logical*, so recovery
+    needs the structure's durable image to be consistent — this is a
+    force-policy buffer manager for data pages, while the log rides
+    write-back and pays one ``sync_through`` per group commit.  Reads
+    of both kinds are cached normally.
 
     ``counters`` on this facade tally the logical traffic the method
     issued, but price it with the hierarchy's own clock (per-level AMAT
@@ -531,7 +531,7 @@ class HierarchicalDevice(SimulatedDevice):
     latency a serve bench measures through this device is the chain's.
     """
 
-    __slots__ = ("hierarchy", "backing", "write_back_kinds")
+    __slots__ = ("hierarchy", "backing", "write_back_kinds", "_clock_base")
 
     def __init__(
         self,
@@ -547,6 +547,9 @@ class HierarchicalDevice(SimulatedDevice):
         self.hierarchy = hierarchy
         self.backing = backing
         self.write_back_kinds = frozenset(write_back_kinds)
+        # Not the base class's ``_time_base``: the ``cost_model`` setter
+        # re-bases that one for a flat model this facade does not price.
+        self._clock_base = 0.0
 
     def set_tracer(self, tracer: Tracer) -> None:
         """One tracer for the facade, every level's pool, and backing."""
@@ -677,6 +680,12 @@ class HierarchicalDevice(SimulatedDevice):
         """Total footprint of every level's pool (the chain's MO)."""
         return sum(level.space_bytes for level in self.hierarchy.levels)
 
+    def reset_counters(self) -> None:
+        """Zero the logical tallies and re-base the facade's clock on the
+        hierarchy's, which keeps running: ``simulated_time`` reads 0.0."""
+        super().reset_counters()
+        self._clock_base = -self.hierarchy.simulated_time
+
     @property
     def counters(self) -> DeviceCounters:
         """Logical traffic tallies, priced with the hierarchy's clock.
@@ -684,7 +693,8 @@ class HierarchicalDevice(SimulatedDevice):
         ``simulated_time`` is :attr:`MemoryHierarchy.simulated_time` —
         per-level AMAT plus the backing meter's priced traffic — so
         latency measured through this facade reflects where accesses
-        were actually served, not a flat per-access cost.
+        were actually served, not a flat per-access cost (less the
+        reading at the last :meth:`reset_counters`, if any).
         """
         seq_reads = self._seq_reads
         rand_reads = self._rand_reads
@@ -700,5 +710,5 @@ class HierarchicalDevice(SimulatedDevice):
             writes * block_bytes,
             self._allocations,
             self._frees,
-            self.hierarchy.simulated_time,
+            self._clock_base + self.hierarchy.simulated_time,
         )

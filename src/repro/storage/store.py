@@ -33,7 +33,7 @@ A :class:`BlockStore` is the read/write surface of one storage layer:
 
 :class:`~repro.storage.device.SimulatedDevice` satisfies it natively,
 :class:`~repro.storage.pager.BufferPool` satisfies it so pools stack,
-and the device wrappers (:class:`~repro.storage.cached.CachedDevice`,
+and the device wrappers (:class:`~repro.storage.hierarchy.HierarchicalDevice`,
 :class:`~repro.check.faults.FaultyDevice`) satisfy it by inheritance —
 so a hierarchy level can sit on any of them interchangeably.
 """
@@ -92,8 +92,7 @@ class LogStore(BlockStore, Protocol):
     path of ``BlockStore`` plus the allocator/catalog calls a log uses
     to create, retire and rediscover its blocks.  Satisfied by
     :class:`~repro.storage.device.SimulatedDevice` and its wrappers
-    (:class:`~repro.storage.cached.CachedDevice`,
-    :class:`~repro.storage.hierarchy.HierarchicalDevice`,
+    (:class:`~repro.storage.hierarchy.HierarchicalDevice`,
     :class:`~repro.check.faults.FaultyDevice`).
     """
 

@@ -10,8 +10,8 @@ import pytest
 from repro.obs.metrics import Histogram, WorkloadMetrics
 from repro.obs.sinks import JsonlSink, ListSink
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, TraceEvent, Tracer
-from repro.storage.cached import CachedDevice
 from repro.storage.device import SimulatedDevice
+from repro.storage.hierarchy import HierarchicalDevice, LevelSpec, MemoryHierarchy
 
 from tests.conftest import SMALL_BLOCK
 
@@ -88,17 +88,18 @@ class TestTracer:
         assert plain.counters == traced.counters
 
 
-class TestCachedDeviceTracing:
-    def test_set_tracer_covers_device_pool_and_backing(self):
+class TestHierarchicalDeviceTracing:
+    def test_set_tracer_covers_facade_pool_and_backing(self):
         sink = ListSink()
         backing = SimulatedDevice(block_bytes=SMALL_BLOCK, name="flash")
-        cached = CachedDevice(backing, capacity_blocks=1)
+        cached = HierarchicalDevice(MemoryHierarchy(backing, [LevelSpec("L0", 1)]))
         cached.set_tracer(RecordingTracer(sink))
-        a, b = cached.allocate(), cached.allocate()
+        # Log blocks ride write-back, so the second write evicts a dirty a.
+        a, b = cached.allocate(kind="wal"), cached.allocate(kind="wal")
         cached.write(a, "a", used_bytes=4)
         cached.write(b, "b", used_bytes=4)  # evicts + writes back a
         sources = {event.source for event in sink.events}
-        assert {"cached(flash)", "pool(flash)", "flash"} <= sources
+        assert {"hier(flash)", "pool(L0)", "flash"} <= sources
         ops = {event.op for event in sink.events}
         assert {"alloc", "write", "evict", "write_back"} <= ops
 
