@@ -178,15 +178,16 @@ class BPlusTree(AccessMethod):
             return []
         node = self._descend(lo)
         matches: List[Record] = []
+        read = self.device.read
         while True:
-            start = bisect.bisect_left(node.keys, lo)
-            for index in range(start, len(node.keys)):
-                if node.keys[index] > hi:
-                    return matches
-                matches.append((node.keys[index], node.values[index]))
-            if node.next_leaf is None:
+            keys = node.keys
+            start = bisect.bisect_left(keys, lo)
+            stop = bisect.bisect_right(keys, hi, start)
+            matches.extend(zip(keys[start:stop], node.values[start:stop]))
+            # The next leaf can hold keys <= hi only if none here exceeds hi.
+            if stop < len(keys) or node.next_leaf is None:
                 return matches
-            node = self._read_node(node.next_leaf)
+            node = read(node.next_leaf)
 
     # ------------------------------------------------------------------
     # Mutations
@@ -261,10 +262,10 @@ class BPlusTree(AccessMethod):
     @spanned("btree.descent")
     def _descend(self, key: int):
         """Root-to-leaf walk: the logarithmic path every operation pays."""
-        node = self._read_node(self._root)
+        read = self.device.read
+        node = read(self._root)
         while isinstance(node, _Internal):
-            _, child = node.child_for(key)
-            node = self._read_node(child)
+            node = read(node.children[bisect.bisect_right(node.keys, key)])
         return node
 
     @spanned("btree.descent")

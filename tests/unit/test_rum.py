@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.registry import available_methods, create_method
 from repro.core.rum import (
     RUMAccumulator,
     RUMProfile,
     measure_workload,
     measure_workload_batched,
 )
+from repro.methods.btree import BPlusTree
 from repro.methods.unsorted_column import UnsortedColumn
+from repro.obs.live import WindowedRUM
 from repro.storage.device import IOStats, SimulatedDevice
+from repro.storage.hierarchy import HierarchicalDevice, LevelSpec, MemoryHierarchy
 from repro.storage.layout import RECORD_BYTES
-from repro.workloads.spec import Operation, OpKind
+from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.spec import MIXES, Operation, OpKind
 
 from tests.conftest import SMALL_BLOCK, sample_records
+from tests.unit.test_method_contract import TUNED_KWARGS
 
 
 class TestAccumulator:
@@ -383,3 +391,64 @@ class TestMeasureWorkloadBatched:
         profile = measure_workload_batched(self._method(), [])
         assert profile.read_overhead == 1.0
         assert profile.update_overhead == 1.0
+
+
+class TestOneSnapshotPerWindow:
+    """The measurement loop reuses a window's closing counter snapshot as
+    the next window's opening one.  That is exact only while nothing
+    between two windows moves the device counters, and while a skipped
+    operation's I/O is dropped rather than carried into the next window."""
+
+    @staticmethod
+    def _build(name, mounted):
+        device = SimulatedDevice(block_bytes=SMALL_BLOCK)
+        if mounted:
+            device = HierarchicalDevice(
+                MemoryHierarchy(device, [LevelSpec("L0", 8)])
+            )
+        return create_method(name, device=device, **TUNED_KWARGS.get(name, {}))
+
+    @pytest.mark.parametrize("mounted", [False, True], ids=["raw", "one-level"])
+    @pytest.mark.parametrize("name", sorted(available_methods()))
+    def test_space_sampling_leaves_device_counters_unchanged(self, name, mounted):
+        method = self._build(name, mounted)
+        spec = replace(
+            MIXES["balanced"], initial_records=300, operations=400, seed=5
+        )
+        generator = WorkloadGenerator(spec)
+        method.bulk_load(generator.initial_data())
+        device = method.device
+        accumulator = RUMAccumulator()
+        live = WindowedRUM(50.0)
+        for batch in generator.operation_batches(100):
+            method.apply_batch(batch)
+            before = device.counters
+            method.stats()
+            accumulator.sample_space(method)
+            live.observe_space(method)
+            assert device.counters == before, name
+
+    def test_skipped_operation_charges_nothing_to_the_next(self):
+        # The update of an absent key walks the tree before it raises;
+        # the per-op loop skips it, and the point query after it must
+        # pay for its own descent only.
+        def query_read_bytes(stream):
+            method = BPlusTree(
+                SimulatedDevice(block_bytes=SMALL_BLOCK),
+                leaf_capacity=8,
+                fanout=5,
+            )
+            method.bulk_load(sample_records(200))
+            method.flush()
+            accumulator = RUMAccumulator()
+            measure_workload(method, stream, accumulator=accumulator)
+            assert accumulator.read_ops == 1
+            assert accumulator.update_ops == 0
+            return accumulator.read_bytes
+
+        query = Operation(OpKind.POINT_QUERY, 100)
+        alone = query_read_bytes([query])
+        assert alone > 0
+        assert query_read_bytes(
+            [Operation(OpKind.UPDATE, 777, 1), query]
+        ) == alone
