@@ -6,7 +6,15 @@ in-memory *fence array* (the first key of each block).  Probing and
 scanning such a run is identical everywhere; these helpers are that
 single implementation.
 
-All functions charge their block reads to the given device.
+:func:`find_in_block` and :func:`block_slice` are the in-block half of
+that machinery: a sorted search over one block's ``(key, value)``
+records, shared by every structure whose blocks are kept sorted.  They
+bisect the record tuples themselves — ``(key,)`` sorts before every
+record with that key — so no per-call key list is built.  Keys are
+ints.
+
+The run functions charge their block reads to the given device; the
+block functions do no I/O.
 """
 
 from __future__ import annotations
@@ -15,6 +23,25 @@ import bisect
 from typing import List, Optional, Sequence, Tuple
 
 from repro.storage.device import SimulatedDevice
+
+
+def find_in_block(records: Sequence[Tuple[int, object]], key: int) -> Optional[int]:
+    """Index of the record with ``key`` in a sorted block, or ``None``."""
+    index = bisect.bisect_left(records, (key,))
+    if index < len(records) and records[index][0] == key:
+        return index
+    return None
+
+
+def block_slice(
+    records: Sequence[Tuple[int, object]], lo: int, hi: int
+) -> Sequence[Tuple[int, object]]:
+    """The sorted block's records with ``lo <= key <= hi``, in key order.
+
+    Empty when ``lo > hi``.
+    """
+    start = bisect.bisect_left(records, (lo,))
+    return records[start : bisect.bisect_left(records, (hi + 1,), start)]
 
 
 def probe_run(
@@ -32,11 +59,10 @@ def probe_run(
         return False, None
     position = max(0, bisect.bisect_right(fence_keys, key) - 1)
     records = device.read(block_ids[position])
-    keys = [record_key for record_key, _ in records]
-    index = bisect.bisect_left(keys, key)
-    if index < len(keys) and keys[index] == key:
-        return True, records[index][1]
-    return False, None
+    index = find_in_block(records, key)
+    if index is None:
+        return False, None
+    return True, records[index][1]
 
 
 def scan_run(
@@ -59,9 +85,7 @@ def scan_run(
         records = device.read(block_ids[position])
         if records and records[0][0] > hi:
             break
-        matches.extend(
-            (key, value) for key, value in records if lo <= key <= hi
-        )
+        matches.extend(block_slice(records, lo, hi))
         if records and records[-1][0] > hi:
             break
     return matches

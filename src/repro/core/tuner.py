@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.interfaces import AccessMethod, Capabilities, Record
-from repro.core.runs import probe_run, scan_run
+from repro.core.runs import block_slice, find_in_block, probe_run, scan_run
 from repro.filters.bloom import BloomFilter
 from repro.storage.device import SimulatedDevice
 from repro.storage.layout import KEY_BYTES, POINTER_BYTES, RECORD_BYTES, records_per_block
@@ -231,9 +231,8 @@ class TunableAccessMethod(AccessMethod):
         if position is None:
             return False
         records = list(self.device.read(self._main_blocks[position]))
-        keys = [record_key for record_key, _ in records]
-        slot = bisect.bisect_left(keys, key)
-        if slot >= len(keys) or keys[slot] != key:
+        slot = find_in_block(records, key)
+        if slot is None:
             return False
         if value is _TOMBSTONE:
             records.pop(slot)
@@ -348,12 +347,11 @@ class TunableAccessMethod(AccessMethod):
         if position is None:
             return None
         records = self.device.read(self._main_blocks[position])
-        keys = [record_key for record_key, _ in records]
-        slot = bisect.bisect_left(keys, key)
-        if slot < len(keys) and keys[slot] == key:
-            value = records[slot][1]
-            return None if value is _TOMBSTONE else value
-        return None
+        slot = find_in_block(records, key)
+        if slot is None:
+            return None
+        value = records[slot][1]
+        return None if value is _TOMBSTONE else value
 
     def _scan_main(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         if not self._main_blocks:
@@ -368,7 +366,7 @@ class TunableAccessMethod(AccessMethod):
             records = self.device.read(self._main_blocks[position])
             if records and records[0][0] > hi:
                 break
-            matches.extend((key, value) for key, value in records if lo <= key <= hi)
+            matches.extend(block_slice(records, lo, hi))
             if records and records[-1][0] > hi:
                 break
         return matches

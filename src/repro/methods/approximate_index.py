@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.core.interfaces import AccessMethod, Capabilities, Record
+from repro.core.runs import block_slice, find_in_block
 from repro.filters.quotient import QuotientFilter
 from repro.storage.device import SimulatedDevice
 from repro.storage.layout import RECORD_BYTES, records_per_block
@@ -83,11 +84,7 @@ class ApproximateTreeIndex(AccessMethod):
             if partition.records == 0 or hi < partition.min_key or lo > partition.max_key:
                 continue
             for block_id in partition.block_ids:
-                matches.extend(
-                    (key, value)
-                    for key, value in self.device.read(block_id)
-                    if lo <= key <= hi
-                )
+                matches.extend(block_slice(self.device.read(block_id), lo, hi))
         matches.sort(key=lambda record: record[0])
         return matches
 
@@ -98,9 +95,8 @@ class ApproximateTreeIndex(AccessMethod):
             self._insert_partition_sorted(partition)
         else:
             records = self._read_partition(partition)
-            keys = [record_key for record_key, _ in records]
-            slot = bisect.bisect_left(keys, key)
-            if slot < len(keys) and keys[slot] == key:
+            slot = bisect.bisect_left(records, (key,))
+            if slot < len(records) and records[slot][0] == key:
                 raise ValueError(f"duplicate key {key}")
             records.insert(slot, (key, value))
             self._rewrite_partition(partition, records)
@@ -110,9 +106,8 @@ class ApproximateTreeIndex(AccessMethod):
     def update(self, key: int, value: int) -> None:
         for partition in self._candidates(key):
             records = self._read_partition(partition)
-            keys = [record_key for record_key, _ in records]
-            slot = bisect.bisect_left(keys, key)
-            if slot < len(keys) and keys[slot] == key:
+            slot = find_in_block(records, key)
+            if slot is not None:
                 records[slot] = (key, value)
                 self._rewrite_partition(partition, records, refresh_filter=False)
                 return
@@ -121,9 +116,8 @@ class ApproximateTreeIndex(AccessMethod):
     def delete(self, key: int) -> None:
         for partition in self._candidates(key):
             records = self._read_partition(partition)
-            keys = [record_key for record_key, _ in records]
-            slot = bisect.bisect_left(keys, key)
-            if slot < len(keys) and keys[slot] == key:
+            slot = find_in_block(records, key)
+            if slot is not None:
                 records.pop(slot)
                 self._rewrite_partition(partition, records)
                 partition.filter.remove(key)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.interfaces import AccessMethod, Capabilities, Record
+from repro.core.runs import find_in_block
 from repro.filters.bloom import BloomFilter
 from repro.obs.spans import span, spanned
 from repro.storage.device import SimulatedDevice
@@ -264,8 +265,6 @@ class IndexedLog(AccessMethod):
 
     @spanned("ilog.probe")
     def _probe_segment(self, segment: _Segment, key: int) -> Tuple[bool, object]:
-        import bisect
-
         # Segments are sorted: binary-search block by first key.
         lo_block, hi_block = 0, len(segment.block_ids) - 1
         while lo_block < hi_block:
@@ -276,8 +275,7 @@ class IndexedLog(AccessMethod):
             else:
                 hi_block = mid - 1
         records = self.device.read(segment.block_ids[lo_block])
-        keys = [record_key for record_key, _ in records]
-        index = bisect.bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            return True, records[index][1]
-        return False, None
+        index = find_in_block(records, key)
+        if index is None:
+            return False, None
+        return True, records[index][1]

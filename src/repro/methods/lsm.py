@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.interfaces import AccessMethod, Capabilities, Record
+from repro.core.runs import block_slice, find_in_block
 from repro.filters.bloom import BloomFilter
 from repro.obs.spans import span, spanned
 from repro.storage.device import SimulatedDevice
@@ -536,11 +537,10 @@ class LSMTree(AccessMethod):
         position = max(0, position)
         data_index = fence_index * self._fences_per_block + position
         records = self.device.read(run.data_blocks[data_index])
-        # ``(key,)`` sorts before ``(key, value)``: values never compare.
-        index = bisect.bisect_left(records, (key,))
-        if index < len(records) and records[index][0] == key:
-            return True, records[index][1]
-        return False, None
+        index = find_in_block(records, key)
+        if index is None:
+            return False, None
+        return True, records[index][1]
 
     def _scan_run(self, run: _Run, lo: int, hi: int) -> List[Tuple[int, object]]:
         if hi < run.min_key or lo > run.max_key:
@@ -554,9 +554,7 @@ class LSMTree(AccessMethod):
             records = self.device.read(run.data_blocks[block_index])
             if records and records[0][0] > hi:
                 break
-            matches.extend(
-                (key, value) for key, value in records if lo <= key <= hi
-            )
+            matches.extend(block_slice(records, lo, hi))
             if records and records[-1][0] > hi:
                 break
         return matches

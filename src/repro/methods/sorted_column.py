@@ -22,6 +22,7 @@ import bisect
 from typing import Iterable, List, Optional
 
 from repro.core.interfaces import AccessMethod, Capabilities, Record
+from repro.core.runs import block_slice, find_in_block
 from repro.obs.spans import spanned
 from repro.storage.device import SimulatedDevice
 from repro.storage.layout import RECORD_BYTES, records_per_block
@@ -64,7 +65,7 @@ class SortedColumn(AccessMethod):
         if block_index is None:
             return None
         records = self.device.read(self._extent[block_index])
-        index = self._find_in_block(records, key)
+        index = find_in_block(records, key)
         if index is None:
             return None
         return records[index][1]
@@ -78,9 +79,7 @@ class SortedColumn(AccessMethod):
             records = self.device.read(self._extent[block_index])
             if records and records[0][0] > hi:
                 break
-            matches.extend(
-                (key, value) for key, value in records if lo <= key <= hi
-            )
+            matches.extend(block_slice(records, lo, hi))
             if records and records[-1][0] > hi:
                 break
         return matches
@@ -97,7 +96,7 @@ class SortedColumn(AccessMethod):
             raise KeyError(key)
         block_id = self._extent[block_index]
         records = list(self.device.read(block_id))
-        index = self._find_in_block(records, key)
+        index = find_in_block(records, key)
         if index is None:
             raise KeyError(key)
         records[index] = (key, value)
@@ -108,7 +107,7 @@ class SortedColumn(AccessMethod):
         if block_index is None:
             raise KeyError(key)
         records = list(self.device.read(self._extent[block_index]))
-        index = self._find_in_block(records, key)
+        index = find_in_block(records, key)
         if index is None:
             raise KeyError(key)
         records.pop(index)
@@ -218,14 +217,6 @@ class SortedColumn(AccessMethod):
                 hi = mid
         return lo
 
-    @staticmethod
-    def _find_in_block(records: List[Record], key: int) -> Optional[int]:
-        keys = [record_key for record_key, _ in records]
-        index = bisect.bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            return index
-        return None
-
     @spanned("sorted.rewrite")
     def _shift_insert(self, key: int, value: int) -> None:
         if not self._extent:
@@ -238,9 +229,8 @@ class SortedColumn(AccessMethod):
         for index in range(block_index, len(self._extent)):
             block_id = self._extent[index]
             records = list(self.device.read(block_id))
-            keys = [record_key for record_key, _ in records]
-            position = bisect.bisect_left(keys, carry[0])
-            if position < len(keys) and keys[position] == carry[0]:
+            position = bisect.bisect_left(records, (carry[0],))
+            if position < len(records) and records[position][0] == carry[0]:
                 raise ValueError(f"duplicate key {carry[0]}")
             records.insert(position, carry)
             if len(records) > self._per_block:

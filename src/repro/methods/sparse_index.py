@@ -18,6 +18,7 @@ import bisect
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.interfaces import AccessMethod, Capabilities, Record
+from repro.core.runs import block_slice, find_in_block
 from repro.storage.device import SimulatedDevice
 from repro.storage.layout import (
     KEY_BYTES,
@@ -65,7 +66,7 @@ class SparseIndexColumn(AccessMethod):
         if position is None:
             return None
         records = self.device.read(self._data_blocks[position])
-        index = self._find(records, key)
+        index = find_in_block(records, key)
         if index is not None:
             return records[index][1]
         for overflow_id in self._overflow[position]:
@@ -85,9 +86,7 @@ class SparseIndexColumn(AccessMethod):
             records = self.device.read(self._data_blocks[position])
             if records and records[0][0] > hi and position > start:
                 break
-            matches.extend(
-                (key, value) for key, value in records if lo <= key <= hi
-            )
+            matches.extend(block_slice(records, lo, hi))
             for overflow_id in self._overflow[position]:
                 matches.extend(
                     (key, value)
@@ -107,9 +106,8 @@ class SparseIndexColumn(AccessMethod):
             position = 0
         records = list(self.device.read(self._data_blocks[position]))
         if len(records) < self._per_block:
-            keys = [record_key for record_key, _ in records]
-            slot = bisect.bisect_left(keys, key)
-            if slot < len(keys) and keys[slot] == key:
+            slot = bisect.bisect_left(records, (key,))
+            if slot < len(records) and records[slot][0] == key:
                 raise ValueError(f"duplicate key {key}")
             records.insert(slot, (key, value))
             self._write_data(position, records)
@@ -129,7 +127,7 @@ class SparseIndexColumn(AccessMethod):
         if position is None:
             raise KeyError(key)
         records = list(self.device.read(self._data_blocks[position]))
-        index = self._find(records, key)
+        index = find_in_block(records, key)
         if index is not None:
             records[index] = (key, value)
             self._write_data(position, records)
@@ -152,7 +150,7 @@ class SparseIndexColumn(AccessMethod):
         if position is None:
             raise KeyError(key)
         records = list(self.device.read(self._data_blocks[position]))
-        index = self._find(records, key)
+        index = find_in_block(records, key)
         if index is not None:
             records.pop(index)
             self._write_data(position, records)
@@ -415,11 +413,3 @@ class SparseIndexColumn(AccessMethod):
             self.device.write(block_id, [record], used_bytes=RECORD_BYTES)
         chain.append(block_id)
         self._overflow_records += 1
-
-    @staticmethod
-    def _find(records: List[Record], key: int) -> Optional[int]:
-        keys = [record_key for record_key, _ in records]
-        index = bisect.bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            return index
-        return None

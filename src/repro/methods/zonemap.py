@@ -24,6 +24,7 @@ import bisect
 from typing import Iterable, List, Optional
 
 from repro.core.interfaces import AccessMethod, Capabilities, Record
+from repro.core.runs import block_slice, find_in_block
 from repro.filters.zonefilter import ZoneEntry, ZoneSynopsis
 from repro.obs.spans import spanned
 from repro.storage.device import SimulatedDevice
@@ -79,7 +80,7 @@ class ZoneMapColumn(AccessMethod):
         candidates = self._consult_synopsis_for_key(key)
         for partition_index in candidates:
             records = self._read_partition(partition_index)
-            index = self._find(records, key)
+            index = find_in_block(records, key)
             if index is not None:
                 return records[index][1]
         return None
@@ -89,9 +90,7 @@ class ZoneMapColumn(AccessMethod):
         matches: List[Record] = []
         for partition_index in candidates:
             records = self._read_partition(partition_index)
-            matches.extend(
-                (key, value) for key, value in records if lo <= key <= hi
-            )
+            matches.extend(block_slice(records, lo, hi))
         matches.sort(key=lambda record: record[0])
         return matches
 
@@ -121,7 +120,7 @@ class ZoneMapColumn(AccessMethod):
         candidates = self._consult_synopsis_for_key(key)
         for partition_index in candidates:
             records = self._read_partition(partition_index)
-            index = self._find(records, key)
+            index = find_in_block(records, key)
             if index is not None:
                 records[index] = (key, value)
                 self._write_partition(partition_index, records)
@@ -132,7 +131,7 @@ class ZoneMapColumn(AccessMethod):
         candidates = self._consult_synopsis_for_key(key)
         for partition_index in candidates:
             records = self._read_partition(partition_index)
-            index = self._find(records, key)
+            index = find_in_block(records, key)
             if index is not None:
                 records.pop(index)
                 self._write_partition(partition_index, records)
@@ -234,14 +233,6 @@ class ZoneMapColumn(AccessMethod):
     def _refresh_zone(self, partition_index: int, records: List[Record]) -> None:
         self._synopsis.set_zone(partition_index, ZoneSynopsis.entry_for(records))
         self._rewrite_synopsis_block(partition_index)
-
-    @staticmethod
-    def _find(records: List[Record], key: int) -> Optional[int]:
-        keys = [record_key for record_key, _ in records]
-        index = bisect.bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            return index
-        return None
 
     # ------------------------------------------------------------------
     # Invariant audit

@@ -20,7 +20,8 @@ Modules
     The :class:`BlockStore` protocol every storage layer satisfies, so
     pools stack on devices, proxies, or other pools interchangeably.
 ``pager``
-    A buffer pool (LRU eviction) layered over any block store.
+    A buffer pool layered over any block store; its frame table is
+    one ``OrderedDict`` kept in LRU order (the eviction order).
 ``hierarchy``
     A chained multi-level memory-hierarchy simulator (Figure 2
     substrate): each level's pool targets the level below it, and
@@ -47,7 +48,7 @@ from repro.storage.layout import (
     VALUE_BYTES,
     records_per_block,
 )
-from repro.storage.pager import BufferPool, LRUPolicy
+from repro.storage.pager import BufferPool
 
 __all__ = [
     "Block",
@@ -61,7 +62,6 @@ __all__ = [
     "INCLUSIVE",
     "IOStats",
     "KEY_BYTES",
-    "LRUPolicy",
     "LevelCounters",
     "LevelSpec",
     "MemoryHierarchy",

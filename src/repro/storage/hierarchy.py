@@ -346,12 +346,14 @@ class MemoryHierarchy:
         for upper, lower in zip(self.levels, self.levels[1:]):
             if lower.spec.inclusion == EXCLUSIVE:
                 upper.pool.victim_store = lower
+        #: Where reads and writes enter: the top level, or the backing
+        #: meter when there are no levels.
+        self.top: BlockStore = self.levels[0] if self.levels else self.meter
 
     # ------------------------------------------------------------------
     def read(self, block_id: BlockId) -> object:
         """Read a block through the hierarchy, top level first."""
-        top: BlockStore = self.levels[0] if self.levels else self.meter
-        return top.read(block_id)
+        return self.top.read(block_id)
 
     def write(self, block_id: BlockId, payload: object, used_bytes: int = 0) -> None:
         """Write a block at the top level.
@@ -360,13 +362,11 @@ class MemoryHierarchy:
         capacity; lower levels see it only on eviction or flush.  A
         hierarchy with no levels writes straight to the backing device.
         """
-        top: BlockStore = self.levels[0] if self.levels else self.meter
-        top.write(block_id, payload, used_bytes)
+        self.top.write(block_id, payload, used_bytes)
 
     def peek(self, block_id: BlockId) -> object:
         """The hierarchy's newest copy of a block, without charging I/O."""
-        top: BlockStore = self.levels[0] if self.levels else self.meter
-        return top.peek(block_id)
+        return self.top.peek(block_id)
 
     def flush(self) -> None:
         """Flush dirty frames down the stack, top level first.
@@ -380,16 +380,14 @@ class MemoryHierarchy:
 
     def used_bytes_of(self, block_id: BlockId) -> int:
         """Declared occupancy of a block's newest copy, without I/O."""
-        top: BlockStore = self.levels[0] if self.levels else self.meter
-        return top.used_bytes_of(block_id)
+        return self.top.used_bytes_of(block_id)
 
     def sync_through(self, block_ids: Iterable[BlockId]) -> int:
         """Force the named blocks through every level to the backing
         device — the modeled fsync (see :class:`BlockStore`).  Starts at
         the top so each level's newest copy lands below before that
         level below is in turn forced."""
-        top: BlockStore = self.levels[0] if self.levels else self.meter
-        return top.sync_through(block_ids)
+        return self.top.sync_through(block_ids)
 
     def invalidate(self, block_id: BlockId) -> None:
         """Drop every level's cached frame for a block (it was freed).
@@ -531,7 +529,7 @@ class HierarchicalDevice(SimulatedDevice):
     latency a serve bench measures through this device is the chain's.
     """
 
-    __slots__ = ("hierarchy", "backing", "write_back_kinds", "_clock_base")
+    __slots__ = ("hierarchy", "backing", "write_back_kinds", "_clock_base", "_top")
 
     def __init__(
         self,
@@ -547,6 +545,7 @@ class HierarchicalDevice(SimulatedDevice):
         self.hierarchy = hierarchy
         self.backing = backing
         self.write_back_kinds = frozenset(write_back_kinds)
+        self._top = hierarchy.top
         # Not the base class's ``_time_base``: the ``cost_model`` setter
         # re-bases that one for a flat model this facade does not price.
         self._clock_base = 0.0
@@ -582,7 +581,7 @@ class HierarchicalDevice(SimulatedDevice):
         else:
             self._rand_reads += 1
         self._seq_read_id = block_id + 1
-        payload = self.hierarchy.read(block_id)
+        payload = self._top.read(block_id)
         if self._trace_enabled:
             self.tracer.emit(
                 source=self.name,
@@ -606,7 +605,7 @@ class HierarchicalDevice(SimulatedDevice):
             self._rand_writes += 1
         self._seq_write_id = block_id + 1
         kind = self.backing.kind_of(block_id)
-        self.hierarchy.write(block_id, payload, used_bytes)
+        self._top.write(block_id, payload, used_bytes)
         if kind not in self.write_back_kinds:
             # Force policy for data pages: the write stays cached at
             # every level but is pushed through to backing immediately,
