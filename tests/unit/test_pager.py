@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 
 import pytest
@@ -87,41 +88,159 @@ _TRACES = {
 }
 
 
+#: Traces that also push clean frames in ("f", fill_clean) and drop
+#: frames ("x", invalidate).
+_MIXED_TRACES = {
+    "fill-then-read": [
+        ("f", 0), ("f", 1), ("r", 0), ("f", 2), ("r", 3),
+        ("f", 0), ("w", 1), ("r", 2), ("f", 4), ("r", 4),
+    ],
+    "invalidate-dirty-and-clean": [
+        ("w", 0), ("r", 1), ("x", 0), ("r", 0), ("w", 2),
+        ("x", 1), ("x", 5), ("r", 3), ("w", 0), ("r", 2),
+    ],
+    "churn": [
+        (("r", "w", "f", "x", "r", "w")[step % 6], (step * 5) % 8)
+        for step in range(40)
+    ],
+}
+
+_POLICIES = {
+    "write-back": dict(write_through=False, admit_on_read=True),
+    "write-through": dict(write_through=True, admit_on_read=True),
+    "exclusive": dict(write_through=False, admit_on_read=False),
+    "exclusive-write-through": dict(write_through=True, admit_on_read=False),
+}
+
+
+class _ReferencePool:
+    """A from-scratch LRU model of the pool's documented behaviour."""
+
+    def __init__(self, capacity, write_through=False, admit_on_read=True):
+        self.capacity = capacity
+        self.write_through = write_through
+        self.admit_on_read = admit_on_read
+        self.frames: "OrderedDict[int, bool]" = OrderedDict()  # block -> dirty
+        self.stats = dict(
+            hits=0, misses=0, evictions=0, write_backs=0,
+            demand_reads=0, downstream_writes=0,
+        )
+        self.offered = []
+
+    def read(self, block):
+        if block in self.frames:
+            self.stats["hits"] += 1
+            self.frames.move_to_end(block)
+            return
+        self.stats["misses"] += 1
+        self.stats["demand_reads"] += 1
+        if self.admit_on_read:
+            self._admit(block, False)
+
+    def write(self, block):
+        dirty = not self.write_through
+        if block in self.frames:
+            self.stats["hits"] += 1
+            self.frames[block] = dirty
+            self.frames.move_to_end(block)
+        else:
+            self.stats["misses"] += 1
+            if self.capacity == 0:
+                self.stats["downstream_writes"] += 1
+                return
+            self._admit(block, dirty)
+        if self.write_through:
+            self.stats["downstream_writes"] += 1
+
+    def fill_clean(self, block):
+        if block not in self.frames:
+            self._admit(block, False)
+
+    def invalidate(self, block):
+        self.frames.pop(block, None)
+
+    def _admit(self, block, dirty):
+        if self.capacity == 0:
+            return
+        while len(self.frames) >= self.capacity:
+            victim, victim_dirty = self.frames.popitem(last=False)
+            self.stats["evictions"] += 1
+            if victim_dirty:
+                self.stats["write_backs"] += 1
+                self.stats["downstream_writes"] += 1
+            else:
+                self.offered.append(victim)
+        self.frames[block] = dirty
+
+
+class _VictimSink:
+    def __init__(self):
+        self.offered = []
+
+    def accept_victim(self, block_id, payload, used_bytes):
+        self.offered.append(block_id)
+
+
+def _replay(backing, trace, capacity, **policy):
+    """Run ``trace`` through a real pool and the reference model side by
+    side, checking the LRU-ordered residency after every step."""
+    blocks = _seed(backing, 8)
+    backing.reset_counters()
+    pool = BufferPool(backing, capacity_blocks=capacity, **policy)
+    pool.victim_store = sink = _VictimSink()
+    model = _ReferencePool(capacity, **policy)
+    for step, (op, index) in enumerate(trace):
+        block = blocks[index]
+        if op == "r":
+            pool.read(block)
+            model.read(block)
+        elif op == "w":
+            pool.write(block, f"step-{step}", used_bytes=8)
+            model.write(block)
+        elif op == "f":
+            pool.fill_clean(block, f"fill-{step}", 4)
+            model.fill_clean(block)
+        else:
+            pool.invalidate(block)
+            model.invalidate(block)
+        resident = [(frame.block_id, frame.dirty) for frame in pool.iter_frames()]
+        assert resident == list(model.frames.items()), f"diverged at step {step}"
+    return blocks, pool, model, sink
+
+
 class TestLRUVictimOrder:
     """The pool evicts in exactly the order a reference LRU model does."""
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize("trace", sorted(_TRACES))
     def test_matches_reference_model(self, backing, trace, capacity):
-        blocks = _seed(backing, 8)
-        pool = BufferPool(backing, capacity_blocks=capacity)
-        model: "OrderedDict[int, bool]" = OrderedDict()  # block -> dirty
-        hits = misses = evictions = write_backs = 0
-        for step, (op, index) in enumerate(_TRACES[trace]):
-            block = blocks[index]
-            if block in model:
-                hits += 1
-                model.move_to_end(block)
-            else:
-                misses += 1
-                if len(model) >= capacity:
-                    _, victim_dirty = model.popitem(last=False)
-                    evictions += 1
-                    write_backs += victim_dirty
-                model[block] = False
-            if op == "w":
-                model[block] = True
-                pool.write(block, f"step-{step}", used_bytes=8)
-            else:
-                pool.read(block)
-            resident = {frame.block_id: frame.dirty for frame in pool.iter_frames()}
-            assert resident == dict(model), f"diverged at step {step}"
+        _, pool, model, _ = _replay(backing, _TRACES[trace], capacity)
+        stats = model.stats
         assert (
             pool.stats.hits,
             pool.stats.misses,
             pool.stats.evictions,
             pool.stats.write_backs,
-        ) == (hits, misses, evictions, write_backs)
+        ) == (stats["hits"], stats["misses"], stats["evictions"], stats["write_backs"])
+
+    @pytest.mark.parametrize("policy", sorted(_POLICIES))
+    @pytest.mark.parametrize("capacity", [0, 1, 3, 6])
+    @pytest.mark.parametrize("trace", sorted({**_TRACES, **_MIXED_TRACES}))
+    def test_every_policy_matches_reference_model(
+        self, backing, trace, capacity, policy
+    ):
+        """Write-through, exclusive victim-fill (no admit on read),
+        ``fill_clean`` and ``invalidate``: same LRU order, same stats,
+        same clean victims offered below, and the store below sees
+        exactly the pool's outgoing traffic."""
+        trace_ops = {**_TRACES, **_MIXED_TRACES}[trace]
+        _, pool, model, sink = _replay(
+            backing, trace_ops, capacity, **_POLICIES[policy]
+        )
+        assert dataclasses.asdict(pool.stats) == model.stats
+        assert sink.offered == model.offered
+        assert backing.counters.reads == pool.stats.demand_reads
+        assert backing.counters.writes == pool.stats.downstream_writes
 
 
 class TestWriteBack:
